@@ -158,7 +158,7 @@ func checkAgainstInterp(t *testing.T, mod *minic.Module, fnames []string, strip 
 						t.Errorf("%s/%s %s env%d: ret %d, interp says %d",
 							arch.Name, lvl, fname, ei, got.Ret, want.Ret)
 					}
-					if string(got.Mem) != string(want.Mem) {
+					if string(got.Mem()) != string(want.Mem) {
 						t.Errorf("%s/%s %s env%d: final data region differs from interpreter",
 							arch.Name, lvl, fname, ei)
 					}

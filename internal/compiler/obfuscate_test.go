@@ -43,7 +43,7 @@ func TestObfuscatedSemanticsPreserved(t *testing.T) {
 					if werr != nil {
 						continue
 					}
-					if got.Ret != want.Ret || string(got.Mem) != string(want.Mem) {
+					if got.Ret != want.Ret || string(got.Mem()) != string(want.Mem) {
 						t.Fatalf("%s env %d: obfuscation changed behaviour", arch.Name, ei)
 					}
 				}

@@ -64,15 +64,11 @@ type Trace struct {
 	stackDepthSum2 float64
 
 	Instrs       int64 // F6
-	uniquePCs    map[uint64]struct{}
 	CallInstrs   int64 // F8
 	ArithInstrs  int64 // F9
 	BranchInstrs int64 // F10
 	LoadInstrs   int64 // F11
 	StoreInstrs  int64 // F12
-
-	branchFreq map[uint64]int64
-	arithFreq  map[uint64]int64
 
 	HeapAccess   int64 // F15
 	StackAccess  int64 // F16
@@ -82,26 +78,62 @@ type Trace struct {
 
 	LibCalls int64 // F20
 	Syscalls int64 // F21
+
+	// funcs holds, for every function the execution entered, how often
+	// each of its instructions ran (indexed by instruction position). F7,
+	// F13, F14 and the executed-address set derive from these counts. A
+	// count never exceeds the step limit (1<<20 by default), so int32 is
+	// ample.
+	funcs []funcCounts
+}
+
+// funcCounts is one function's per-instruction execution counts.
+type funcCounts struct {
+	fn     *disasm.Function
+	counts []int32
 }
 
 func newTrace() *Trace {
-	return &Trace{
-		stackDepthMin: math.MaxInt64,
-		uniquePCs:     make(map[uint64]struct{}),
-		branchFreq:    make(map[uint64]int64),
-		arithFreq:     make(map[uint64]int64),
+	return &Trace{stackDepthMin: math.MaxInt64}
+}
+
+// countsFor returns fn's execution counts, allocating them the first time
+// the execution enters fn. An execution enters a handful of functions, so
+// a linear scan beats a map here.
+func (t *Trace) countsFor(fn *disasm.Function) []int32 {
+	for _, fc := range t.funcs {
+		if fc.fn == fn {
+			return fc.counts
+		}
 	}
+	c := make([]int32, len(fn.Instrs))
+	t.funcs = append(t.funcs, funcCounts{fn: fn, counts: c})
+	return c
 }
 
 // UniqueInstrs is feature F7.
-func (t *Trace) UniqueInstrs() int64 { return int64(len(t.uniquePCs)) }
+func (t *Trace) UniqueInstrs() int64 {
+	var n int64
+	for _, fc := range t.funcs {
+		for _, c := range fc.counts {
+			if c != 0 {
+				n++
+			}
+		}
+	}
+	return n
+}
 
 // PCs returns the set of executed instruction addresses. The fuzzer uses it
 // as its coverage signal.
 func (t *Trace) PCs() map[uint64]struct{} {
-	out := make(map[uint64]struct{}, len(t.uniquePCs))
-	for pc := range t.uniquePCs {
-		out[pc] = struct{}{}
+	out := make(map[uint64]struct{})
+	for _, fc := range t.funcs {
+		for i, c := range fc.counts {
+			if c != 0 {
+				out[fc.fn.Addr+uint64(fc.fn.Instrs[i].Offset)] = struct{}{}
+			}
+		}
 	}
 	return out
 }
@@ -122,20 +154,29 @@ func (t *Trace) StackDepthStats() (minD, maxD int64, mean, std float64) {
 
 // MaxBranchFreq is feature F13: the execution count of the hottest single
 // branch instruction.
-func (t *Trace) MaxBranchFreq() int64 { return maxVal(t.branchFreq) }
+func (t *Trace) MaxBranchFreq() int64 { return t.maxFreq(isBranchOp) }
 
 // MaxArithFreq is feature F14.
-func (t *Trace) MaxArithFreq() int64 { return maxVal(t.arithFreq) }
+func (t *Trace) MaxArithFreq() int64 { return t.maxFreq(isArithOp) }
 
-func maxVal(m map[uint64]int64) int64 {
+// maxFreq is the highest execution count of any instruction whose op is in
+// the class.
+func (t *Trace) maxFreq(class func(isa.Op) bool) int64 {
 	var best int64
-	for _, v := range m {
-		if v > best {
-			best = v
+	for _, fc := range t.funcs {
+		for i, c := range fc.counts {
+			if int64(c) > best && class(fc.fn.Instrs[i].Op) {
+				best = int64(c)
+			}
 		}
 	}
 	return best
 }
+
+// isArithOp and isBranchOp are the F9/F14 and F10/F13 instruction classes.
+// An op is counted in at most one class, arithmetic first.
+func isArithOp(op isa.Op) bool  { return op.IsArith() || op.IsArithFP() }
+func isBranchOp(op isa.Op) bool { return !isArithOp(op) && op.IsBranch() }
 
 // Vector flattens the trace into the 21-dimensional dynamic feature vector
 // in Table II order.
@@ -170,30 +211,71 @@ func (t *Trace) Vector() [21]float64 {
 type Result struct {
 	Ret   int64
 	Trace *Trace
-	Mem   []byte // final data-region contents
+	data  [dataPages]*page // final data-region pages
 }
+
+// Mem returns the final data-region contents.
+func (r *Result) Mem() []byte {
+	out := make([]byte, minic.DataSize)
+	for i, p := range r.data {
+		if p != nil {
+			copy(out[i*pageSize:], p[:])
+		}
+	}
+	return out
+}
+
+// The writable regions are tables of 4 KiB pages, materialised by their
+// first store: an execution touches a few KiB of its 2 MiB address space,
+// and a page never written reads as zero.
+const (
+	pageShift = 12
+	pageSize  = 1 << pageShift
+	pageMask  = pageSize - 1
+
+	dataPages  = minic.DataSize >> pageShift
+	heapPages  = minic.HeapSize >> pageShift
+	stackPages = StackSize >> pageShift
+)
+
+type page [pageSize]byte
 
 // taggedMem is the emulator's address space with per-region access counting.
 type taggedMem struct {
-	data   []byte
 	rodata []byte
-	heap   []byte
-	stack  []byte
+	data   [dataPages]*page
+	heap   [heapPages]*page
+	stack  [stackPages]*page
 	trace  *Trace
 }
 
 var _ minic.Memory = (*taggedMem)(nil)
 
-func (m *taggedMem) region(addr int64) (Region, []byte, int64) {
+// loadData copies an environment's input buffer into the data pages it
+// covers.
+func (m *taggedMem) loadData(b []byte) {
+	if len(b) > minic.DataSize {
+		b = b[:minic.DataSize]
+	}
+	for i := 0; i*pageSize < len(b); i++ {
+		p := new(page)
+		copy(p[:], b[i*pageSize:])
+		m.data[i] = p
+	}
+}
+
+// region classifies addr, returning the page table backing it (nil for
+// rodata and unmapped addresses) and its offset within the region.
+func (m *taggedMem) region(addr int64) (Region, []*page, int64) {
 	switch {
 	case addr >= minic.DataBase && addr < minic.DataBase+minic.DataSize:
-		return RegionAnon, m.data, addr - minic.DataBase
+		return RegionAnon, m.data[:], addr - minic.DataBase
 	case addr >= minic.RodataBase && addr < minic.RodataBase+int64(len(m.rodata)):
-		return RegionLib, m.rodata, addr - minic.RodataBase
+		return RegionLib, nil, addr - minic.RodataBase
 	case addr >= minic.HeapBase && addr < minic.HeapBase+minic.HeapSize:
-		return RegionHeap, m.heap, addr - minic.HeapBase
+		return RegionHeap, m.heap[:], addr - minic.HeapBase
 	case addr >= StackTop-StackSize && addr < StackTop:
-		return RegionStack, m.stack, addr - (StackTop - StackSize)
+		return RegionStack, m.stack[:], addr - (StackTop - StackSize)
 	}
 	return RegionOther, nil, 0
 }
@@ -214,39 +296,51 @@ func (m *taggedMem) count(r Region) {
 }
 
 func (m *taggedMem) LoadByte(addr int64) (byte, error) {
-	r, buf, off := m.region(addr)
-	if buf == nil {
-		m.trace.OthersAccess++
-		return 0, &minic.TrapError{Kind: minic.TrapOOB, Addr: addr}
-	}
+	r, pages, off := m.region(addr)
 	m.count(r)
-	return buf[off], nil
+	switch r {
+	case RegionOther:
+		return 0, &minic.TrapError{Kind: minic.TrapOOB, Addr: addr}
+	case RegionLib:
+		return m.rodata[off], nil
+	}
+	if p := pages[off>>pageShift]; p != nil {
+		return p[off&pageMask], nil
+	}
+	return 0, nil
 }
 
 func (m *taggedMem) StoreByte(addr int64, v byte) error {
-	r, buf, off := m.region(addr)
-	if buf == nil || r == RegionLib { // rodata is not writable
+	r, pages, off := m.region(addr)
+	if pages == nil { // unmapped, or rodata, which is not writable
 		m.trace.OthersAccess++
 		return &minic.TrapError{Kind: minic.TrapOOB, Addr: addr}
 	}
 	m.count(r)
-	buf[off] = v
+	p := pages[off>>pageShift]
+	if p == nil {
+		p = new(page)
+		pages[off>>pageShift] = p
+	}
+	p[off&pageMask] = v
 	return nil
 }
 
 // frame is one activation record of the Go-side return stack (the emulator
 // models the link register in Go, like hardware keeps it out of data memory).
 type frame struct {
-	fn *disasm.Function
-	pc int // resume instruction index in fn
+	fn     *disasm.Function
+	counts []int32 // fn's execution counts
+	pc     int     // resume instruction index in fn
 }
 
 // Machine executes one function invocation.
 type Machine struct {
 	ctx   context.Context // nil = no watchdog, no cancellation
 	dis   *disasm.Disassembly
-	mem   *taggedMem
+	mem   taggedMem
 	regs  [16]int64
+	args  [16]int64 // builtin argument buffer
 	flagL int64
 	flagR int64
 	bst   *minic.BuiltinState
@@ -254,6 +348,7 @@ type Machine struct {
 	limit int64
 
 	fn     *disasm.Function
+	counts []int32 // fn's execution counts, indexed like fn.Instrs
 	pc     int
 	frames []frame
 }
@@ -266,6 +361,10 @@ type Machine struct {
 // On abnormal termination the returned Result is non-nil and carries the
 // trace collected up to the fault — the partial profile the dynamic stage
 // consumes — alongside the *minic.TrapError.
+//
+// The emulator only reads env: the arguments load into registers and the
+// data buffer is copied into the machine's own memory, so one environment
+// may drive any number of executions, concurrent ones included.
 func Execute(dis *disasm.Disassembly, fn *disasm.Function, env *minic.Env, limit int64) (*Result, error) {
 	return ExecuteCtx(nil, dis, fn, env, limit)
 }
@@ -295,21 +394,16 @@ func ExecuteObserved(ctx context.Context, dis *disasm.Disassembly, fn *disasm.Fu
 	}
 	tr := newTrace()
 	m := &Machine{
-		ctx: ctx,
-		dis: dis,
-		mem: &taggedMem{
-			data:   make([]byte, minic.DataSize),
-			rodata: dis.Image.Rodata,
-			heap:   make([]byte, minic.HeapSize),
-			stack:  make([]byte, StackSize),
-			trace:  tr,
-		},
-		bst:   minic.NewBuiltinState(),
-		trace: tr,
-		limit: limit,
-		fn:    fn,
+		ctx:    ctx,
+		dis:    dis,
+		mem:    taggedMem{rodata: dis.Image.Rodata, trace: tr},
+		bst:    minic.NewBuiltinState(),
+		trace:  tr,
+		limit:  limit,
+		fn:     fn,
+		counts: tr.countsFor(fn),
 	}
-	copy(m.mem.data, env.Data)
+	m.mem.loadData(env.Data)
 	for i, a := range env.Args {
 		if i >= 4 {
 			break
@@ -319,16 +413,16 @@ func ExecuteObserved(ctx context.Context, dis *disasm.Disassembly, fn *disasm.Fu
 	m.regs[m.sp()] = StackTop
 	if err := faultinject.Fire(faultinject.ExecTrap, dis.Image.LibName+":"+fn.Name); err != nil {
 		observeExec(o, tr, err)
-		return &Result{Trace: tr, Mem: m.mem.data}, err
+		return &Result{Trace: tr, data: m.mem.data}, err
 	}
 	if err := m.run(); err != nil {
 		observeExec(o, tr, err)
 		// Partial result: the trace up to the fault is the truncated
 		// profile the fault-tolerant dynamic stage ranks with.
-		return &Result{Ret: m.regs[0], Trace: tr, Mem: m.mem.data}, err
+		return &Result{Ret: m.regs[0], Trace: tr, data: m.mem.data}, err
 	}
 	observeExec(o, tr, nil)
-	return &Result{Ret: m.regs[0], Trace: tr, Mem: m.mem.data}, nil
+	return &Result{Ret: m.regs[0], Trace: tr, data: m.mem.data}, nil
 }
 
 // observeExec records one execution's accounting: the execution itself, its
@@ -389,7 +483,6 @@ func (m *Machine) run() error {
 				Msg: fmt.Sprintf("pc %d outside function", m.pc)}
 		}
 		in := m.fn.Instrs[m.pc]
-		pcAddr := m.fn.Addr + uint64(in.Offset)
 
 		m.trace.Instrs++
 		if m.trace.Instrs > m.limit {
@@ -406,7 +499,7 @@ func (m *Machine) run() error {
 			default:
 			}
 		}
-		m.trace.uniquePCs[pcAddr] = struct{}{}
+		m.counts[m.pc]++
 		depth := int64(len(m.frames)) + 1
 		if depth < m.trace.stackDepthMin {
 			m.trace.stackDepthMin = depth
@@ -417,12 +510,10 @@ func (m *Machine) run() error {
 		m.trace.stackDepthSum += float64(depth)
 		m.trace.stackDepthSum2 += float64(depth) * float64(depth)
 		switch {
-		case in.Op.IsArith() || in.Op.IsArithFP():
+		case isArithOp(in.Op):
 			m.trace.ArithInstrs++
-			m.trace.arithFreq[pcAddr]++
 		case in.Op.IsBranch():
 			m.trace.BranchInstrs++
-			m.trace.branchFreq[pcAddr]++
 		case in.Op.IsCall():
 			m.trace.CallInstrs++
 		case in.Op.IsLoad():
@@ -509,13 +600,13 @@ func (m *Machine) step(in disasm.DInstr) (bool, error) {
 			return false, err
 		}
 	case isa.Ldw:
-		v, err := minic.LoadWord(m.mem, m.regs[in.Rs1]+in.Imm)
+		v, err := minic.LoadWord(&m.mem, m.regs[in.Rs1]+in.Imm)
 		if err != nil {
 			return false, err
 		}
 		m.regs[in.Rd] = v
 	case isa.Stw:
-		if err := minic.StoreWord(m.mem, m.regs[in.Rs1]+in.Imm, m.regs[in.Rs2]); err != nil {
+		if err := minic.StoreWord(&m.mem, m.regs[in.Rs1]+in.Imm, m.regs[in.Rs2]); err != nil {
 			return false, err
 		}
 
@@ -550,9 +641,8 @@ func (m *Machine) step(in disasm.DInstr) (bool, error) {
 			return false, &minic.TrapError{Kind: minic.TrapStack, Msg: "call stack overflow"}
 		}
 		m.trace.BinaryFunCalls++
-		m.frames = append(m.frames, frame{fn: m.fn, pc: next})
-		m.fn = callee
-		m.pc = 0
+		m.frames = append(m.frames, frame{fn: m.fn, counts: m.counts, pc: next})
+		m.fn, m.counts, m.pc = callee, m.trace.countsFor(callee), 0
 		return false, nil
 
 	case isa.CallI:
@@ -561,11 +651,9 @@ func (m *Machine) step(in disasm.DInstr) (bool, error) {
 			return false, &minic.TrapError{Kind: minic.TrapBadCall,
 				Msg: fmt.Sprintf("bad import index %d", in.Imm)}
 		}
-		args := make([]int64, b.NArgs)
-		for i := range args {
-			args[i] = m.regs[i]
-		}
-		v, err := b.Fn(m.mem, m.bst, args)
+		args := m.args[:b.NArgs]
+		copy(args, m.regs[:])
+		v, err := b.Fn(&m.mem, m.bst, args)
 		if err != nil {
 			return false, err
 		}
@@ -582,7 +670,7 @@ func (m *Machine) step(in disasm.DInstr) (bool, error) {
 		}
 		top := m.frames[len(m.frames)-1]
 		m.frames = m.frames[:len(m.frames)-1]
-		m.fn, m.pc = top.fn, top.pc
+		m.fn, m.counts, m.pc = top.fn, top.counts, top.pc
 		return false, nil
 
 	case isa.Push:
@@ -591,7 +679,7 @@ func (m *Machine) step(in disasm.DInstr) (bool, error) {
 			return false, &minic.TrapError{Kind: minic.TrapStack, Msg: "stack overflow"}
 		}
 		m.regs[m.sp()] = sp
-		if err := minic.StoreWord(m.mem, sp, m.regs[in.Rs1]); err != nil {
+		if err := minic.StoreWord(&m.mem, sp, m.regs[in.Rs1]); err != nil {
 			return false, err
 		}
 	case isa.Pop:
@@ -599,7 +687,7 @@ func (m *Machine) step(in disasm.DInstr) (bool, error) {
 		if sp >= StackTop {
 			return false, &minic.TrapError{Kind: minic.TrapStack, Msg: "stack underflow"}
 		}
-		v, err := minic.LoadWord(m.mem, sp)
+		v, err := minic.LoadWord(&m.mem, sp)
 		if err != nil {
 			return false, err
 		}
