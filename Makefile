@@ -28,7 +28,7 @@ lint:
 # race detector on one core it overruns go test's default 10m deadline,
 # so give the gate an explicit budget.
 race:
-	$(GO) test -race -timeout 45m ./patchecko/ ./internal/dynamic/ ./internal/emu/ ./internal/faultinject/ ./internal/detector/ ./internal/nn/ ./internal/cas/ ./internal/server/ ./internal/embed/ ./internal/annindex/
+	$(GO) test -race -timeout 45m ./patchecko/ ./internal/dynamic/ ./internal/emu/ ./internal/faultinject/ ./internal/detector/ ./internal/nn/ ./internal/cas/ ./internal/server/
 
 bench:
 	$(GO) test -bench=. -benchmem
@@ -36,16 +36,12 @@ bench:
 # Measure the static stage's scalar and batched candidate paths and refresh
 # BENCH_static.json (ns/pair, pairs/sec, allocs/op, speedup). Fails if the
 # batched path allocates in steady state or the speedup drops below 3x.
-# The second step merges the embedding-index retrieval rows into the same
-# artifact (pairs/sec vs batched exact, recall@K); it fails below the 5x
-# retrieval floor or if recall@K at the covering operating point is not 1.0.
-# The third step merges the component-identification prefilter rows
+# The second step merges the component-identification prefilter rows
 # (grid reduction, ground-truth recall, fingerprint/signature costs); it
 # fails if recall on any fixture is not 1.0 or the fleet fixture's grid
 # reduction drops below 2x.
 bench-static:
 	PATCHECKO_BENCH_OUT=$(CURDIR)/BENCH_static.json $(GO) test ./internal/detector/ -run TestWriteStaticBenchArtifact -count=1 -v
-	PATCHECKO_BENCH_OUT=$(CURDIR)/BENCH_static.json $(GO) test ./internal/embed/ -run TestWriteRetrievalBenchArtifact -count=1 -v
 	PATCHECKO_BENCH_OUT=$(CURDIR)/BENCH_static.json $(GO) test ./patchecko/ -run TestWritePrefilterBenchArtifact -count=1 -v
 
 # Short fuzzing pass over every fuzz target, seeded from the checked-in
@@ -60,7 +56,6 @@ fuzz-smoke:
 	$(GO) test ./internal/disasm/ -run=Fuzz -fuzz=FuzzDisassemble -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/features/ -run=Fuzz -fuzz=FuzzExtract -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/cas/ -run=Fuzz -fuzz=FuzzNormalize -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/annindex/ -run=Fuzz -fuzz=FuzzDecode -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/compid/ -run=Fuzz -fuzz=FuzzFingerprintDecode -fuzztime=$(FUZZTIME)
 
 # Statement-coverage floor for the packages the observability layer leans
@@ -68,7 +63,7 @@ fuzz-smoke:
 # scan engine, and the content-address/delta-store layer. The floor is
 # asserted per package, so a regression in one cannot hide behind the
 # others. CI runs this.
-COVER_PKGS  = ./internal/obs/ ./internal/detector/ ./patchecko/ ./internal/cas/ ./internal/embed/ ./internal/annindex/ ./internal/compid/
+COVER_PKGS  = ./internal/obs/ ./internal/detector/ ./patchecko/ ./internal/cas/ ./internal/compid/
 COVER_FLOOR = 70
 cover:
 	@set -e; for pkg in $(COVER_PKGS); do \

@@ -37,8 +37,6 @@ func run() (err error) {
 		noDedup     = flag.Bool("no-dedup", false, "force every pair to be scored independently (overrides -dedup)")
 		prefilter   = flag.Bool("prefilter", true, "prune scan-grid cells with the component-identification prefilter (results are identical either way)")
 		noPrefilter = flag.Bool("no-prefilter", false, "scan the full (image, CVE, mode) grid (overrides -prefilter)")
-		retrieval   = flag.Bool("retrieval", false, "serve the static stage from an embedding index with exact top-K rescoring")
-		topK        = flag.Int("topk", patchecko.DefaultTopK, "unique bodies the embedding index nominates per query (with -retrieval)")
 		all         = flag.Bool("all", false, "run every experiment")
 		fig7        = flag.Bool("fig7", false, "Fig. 7: static-stage FP rates")
 		fig8        = flag.Bool("fig8", false, "Fig. 8: training curves")
@@ -66,9 +64,6 @@ func run() (err error) {
 	if *workers < 0 {
 		return fmt.Errorf("-workers must be >= 0, got %d", *workers)
 	}
-	if *retrieval && *topK <= 0 {
-		return fmt.Errorf("-topk must be >= 1, got %d", *topK)
-	}
 	if err := prof.Start(); err != nil {
 		return err
 	}
@@ -93,8 +88,6 @@ func run() (err error) {
 		Obs:         of.Collector(),
 		NoDedup:     *noDedup || !*dedup,
 		NoPrefilter: *noPrefilter || !*prefilter,
-		Retrieval:   *retrieval,
-		TopK:        *topK,
 		Log:         func(s string) { fmt.Println(s) },
 	})
 	if err != nil {

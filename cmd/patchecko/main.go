@@ -79,13 +79,10 @@ func usage() {
   patchecko train  -scale <tiny|small|medium|large> -seed N -out model.json
   patchecko scan   -model model.json -db vulndb.json -image lib.img [-cve CVE-...] [-workers N]
                    [-no-dedup] [-no-prefilter] [-store DIR [-store-max BYTES]]
-                   [-retrieval [-topk K] | -no-retrieval]
   (train and scan also take -cpuprofile file / -memprofile file for go tool pprof;
    scan also takes -metrics manifest.json / -trace events.jsonl for run observability;
    -store keeps static scores on disk keyed by function content address, so
    rescanning a firmware update only re-scores functions that changed;
-   -retrieval serves static candidates from an embedding index distilled from
-   the model, rescoring only the top-K nearest unique bodies exactly;
    the component-identification prefilter skips CVEs whose signature rules the
    image out — every skip is printed, true hosts are never skipped (recall 1.0
    pinned by test), and -no-prefilter scans every CVE)
@@ -205,10 +202,6 @@ func runScan(args []string) (err error) {
 		storeDir  = fs.String("store", "", "persistent score-store directory for incremental delta scans (implies -dedup)")
 		storeMax  = fs.Int64("store-max", 0, "score-store on-disk byte budget (0 = default 64MiB)")
 
-		retrieval   = fs.Bool("retrieval", false, "serve static candidates from an embedding index, rescoring only the top-K nearest unique bodies exactly")
-		noRetrieval = fs.Bool("no-retrieval", false, "force the exact static scan (overrides -retrieval)")
-		topK        = fs.Int("topk", patchecko.DefaultTopK, "unique bodies the embedding index nominates per query (with -retrieval)")
-
 		prefilter   = fs.Bool("prefilter", true, "skip CVEs whose component-identification signature rules the image out (each skip is printed; ground-truth recall is pinned at 1.0 by test)")
 		noPrefilter = fs.Bool("no-prefilter", false, "scan the image against every CVE (overrides -prefilter)")
 	)
@@ -233,9 +226,6 @@ func runScan(args []string) (err error) {
 	}
 	if *storeMax < 0 {
 		return fmt.Errorf("-store-max must be >= 0 bytes (0 = default), got %d", *storeMax)
-	}
-	if *topK <= 0 {
-		return fmt.Errorf("-topk must be >= 1, got %d", *topK)
 	}
 	// Flush the observability sinks on EVERY exit path — error returns and
 	// signal exits included. A partially-completed scan's counters and trace
@@ -282,17 +272,6 @@ func runScan(args []string) (err error) {
 	an.Obs = of.Collector()
 	an.Dedup = *dedup && !*noDedup
 	an.Prefilter = *prefilter && !*noPrefilter
-	if *retrieval && !*noRetrieval {
-		// Distillation is deterministic in (model, seed); a fixed seed keeps
-		// repeated invocations byte-identical for the same model file.
-		emb, derr := patchecko.DistillEmbedder(model, 1)
-		if derr != nil {
-			return fmt.Errorf("distilling retrieval embedder: %w", derr)
-		}
-		an.Embedder = emb
-		an.TopK = *topK
-		fmt.Printf("retrieval: embedding index enabled (top-K %d, dim %d)\n", *topK, emb.Dim())
-	}
 	if *storeDir != "" {
 		if !an.Dedup {
 			return fmt.Errorf("-store requires the dedup path (drop -no-dedup)")
@@ -305,10 +284,12 @@ func runScan(args []string) (err error) {
 		}
 		an.Store = store
 	}
+	prepWatch := obs.StartStopwatch()
 	prepared, err := patchecko.Prepare(im)
 	if err != nil {
 		return err
 	}
+	an.Obs.AddStage(obs.StagePrepare, prepWatch.Elapsed())
 	an.Obs.Add(obs.CtrImagesPrepared, 1)
 	an.Obs.Add(obs.CtrFuncsDisassembled, int64(prepared.NumFuncs()))
 	an.Obs.Emit(obs.Event{Kind: obs.EvImagePrepared, Library: im.LibName, Funcs: prepared.NumFuncs()})

@@ -34,7 +34,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/server"
 	"repro/internal/vulndb"
-	"repro/patchecko"
 )
 
 func main() {
@@ -70,10 +69,6 @@ func run() (err error) {
 		storeDir = fs.String("store", "", "persistent score-store directory shared by all jobs")
 		storeMax = fs.Int64("store-max", 0, "score-store on-disk byte budget (0 = default 64MiB)")
 
-		retrieval   = fs.Bool("retrieval", false, "serve every job's static stage from an embedding index, rescoring only the top-K nearest unique bodies exactly")
-		noRetrieval = fs.Bool("no-retrieval", false, "force the exact static scan (overrides -retrieval)")
-		topK        = fs.Int("topk", patchecko.DefaultTopK, "unique bodies the embedding index nominates per query (with -retrieval)")
-
 		prefilter   = fs.Bool("prefilter", true, "prune scan-grid cells with the component-identification prefilter (served reports are identical either way)")
 		noPrefilter = fs.Bool("no-prefilter", false, "scan every job's full (image, CVE, mode) grid (overrides -prefilter)")
 	)
@@ -86,9 +81,6 @@ func run() (err error) {
 	}
 	if *storeMax < 0 {
 		return fmt.Errorf("-store-max must be >= 0 bytes (0 = default), got %d", *storeMax)
-	}
-	if *topK <= 0 {
-		return fmt.Errorf("-topk must be >= 1, got %d", *topK)
 	}
 
 	rawModel, err := os.ReadFile(*modelPath)
@@ -131,17 +123,6 @@ func run() (err error) {
 			return serr
 		}
 		cfg.Store = store
-	}
-	if *retrieval && !*noRetrieval {
-		// Distillation is deterministic in (model, seed); a fixed seed keeps
-		// every restart serving byte-identical reports for the same model file.
-		emb, derr := patchecko.DistillEmbedder(model, 1)
-		if derr != nil {
-			return fmt.Errorf("distilling retrieval embedder: %w", derr)
-		}
-		cfg.Embedder = emb
-		cfg.TopK = *topK
-		fmt.Printf("patcheckod: retrieval enabled (top-K %d, dim %d)\n", *topK, emb.Dim())
 	}
 	// The service-level sink feeds /metrics; -metrics/-trace additionally
 	// write its artifacts at shutdown — on EVERY exit path, signals included.

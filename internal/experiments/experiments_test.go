@@ -383,46 +383,6 @@ func TestObfuscationAblation(t *testing.T) {
 	t.Log("\n" + buf.String())
 }
 
-// TestRetrievalSuiteEquivalence pins the Config.Retrieval wiring: at the
-// default top-K the retrieval suite's rendered artifacts are byte-identical
-// to the exact suite's on the same (scale, seed) — retrieval is a perf knob,
-// never a results knob.
-func TestRetrievalSuiteEquivalence(t *testing.T) {
-	ctx := context.Background()
-	base := Config{Scale: corpus.ScaleTiny, Seed: 42, Workers: 4}
-	exact, err := NewSuite(ctx, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	withRet := base
-	withRet.Retrieval = true
-	ret, err := NewSuite(ctx, withRet)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ret.Analyzer.Embedder == nil {
-		t.Fatal("Retrieval config did not install an embedder")
-	}
-	dev := corpus.ThingOS.Name
-	render := func(s *Suite) string {
-		var buf bytes.Buffer
-		f7, err := s.Fig7()
-		if err != nil {
-			t.Fatal(err)
-		}
-		f7.Render(&buf)
-		v, err := s.Verdicts(ctx, dev)
-		if err != nil {
-			t.Fatal(err)
-		}
-		v.Render(&buf)
-		return buf.String()
-	}
-	if got, want := render(ret), render(exact); got != want {
-		t.Errorf("retrieval suite artifacts diverge from exact suite:\n got:\n%s\nwant:\n%s", got, want)
-	}
-}
-
 // TestPrefilterAblation locks the prefilter ablation's contract: every
 // fixture keeps all ground-truth cells (recall exactly 1.0), prunes a
 // non-trivial slice of the grid, stays byte-identical to the full scan, and

@@ -52,7 +52,7 @@ func (r PrefilterResult) Render(w io.Writer) {
 }
 
 // scanAnalyzer builds a fresh analyzer mirroring the suite's configuration
-// (workers, dedup, retrieval) so an ablation can flip one knob without
+// (workers, dedup) so an ablation can flip one knob without
 // disturbing the shared analyzer's memoized state. The ablation's scans skip
 // the suite's Obs sink: they run every fixture twice, which would double
 // every counter the other experiments report.
@@ -61,8 +61,6 @@ func (s *Suite) scanAnalyzer() *patchecko.Analyzer {
 	an.Workers = s.Cfg.Workers
 	an.Dedup = !s.Cfg.NoDedup
 	an.Prefilter = !s.Cfg.NoPrefilter
-	an.Embedder = s.Analyzer.Embedder
-	an.TopK = s.Analyzer.TopK
 	return an
 }
 

@@ -44,13 +44,6 @@ type Config struct {
 	// the full (image, CVE, mode) grid. Experiment artifacts are
 	// byte-identical either way; AblatePrefilter measures the difference.
 	NoPrefilter bool
-	// Retrieval routes the static stage through the embedding index
-	// (distilled from the trained model at Seed): top-K nomination + exact
-	// rescoring. TopK overrides the nomination budget when > 0. At the
-	// default budget the fixture images' unique-body counts are covered, so
-	// artifacts stay byte-identical to the exact scan.
-	Retrieval bool
-	TopK      int
 	// Log, when non-nil, receives progress lines during setup.
 	Log func(string)
 }
@@ -127,15 +120,6 @@ func NewSuite(ctx context.Context, cfg Config) (*Suite, error) {
 	s.Analyzer.Obs = cfg.Obs
 	s.Analyzer.Dedup = !cfg.NoDedup
 	s.Analyzer.Prefilter = !cfg.NoPrefilter
-	if cfg.Retrieval {
-		logf("distilling the retrieval embedding tower...")
-		emb, err := patchecko.DistillEmbedder(s.Model, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		s.Analyzer.Embedder = emb
-		s.Analyzer.TopK = cfg.TopK
-	}
 
 	prepWorkers := cfg.Workers
 	if prepWorkers <= 0 {

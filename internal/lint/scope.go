@@ -32,8 +32,6 @@ var deterministicPkgs = []string{
 	modulePath + "/internal/cas",
 	modulePath + "/internal/dynamic",
 	modulePath + "/internal/emu",
-	modulePath + "/internal/embed",
-	modulePath + "/internal/annindex",
 	modulePath + "/internal/compid",
 	selftestPath,
 }

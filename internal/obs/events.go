@@ -24,7 +24,6 @@ const (
 	EvCandidateExcluded                      // dynamic validation excluded a candidate
 	EvVerdictReached                         // the differential stage decided a cell's verdict
 	EvScanError                              // a typed ScanError was recorded (passthrough)
-	EvRetrieval                              // embedding-index retrieval pruned a cell's pair set
 	EvPrefilter                              // component prefilter decided one CVE row's keeps
 
 	// Scan-service job lifecycle. Emitted into the job's own traced sink,
@@ -45,7 +44,6 @@ var eventNames = map[EventKind]string{
 	EvCandidateExcluded: "candidate_excluded",
 	EvVerdictReached:    "verdict_reached",
 	EvScanError:         "scan_error",
-	EvRetrieval:         "retrieval",
 	EvPrefilter:         "prefilter",
 	EvJobQueued:         "job_queued",
 	EvJobStarted:        "job_started",
@@ -92,7 +90,6 @@ func (k *EventKind) UnmarshalJSON(b []byte) error {
 //	candidate_excluded: CVE, Library, Mode, Addr, Reason
 //	verdict_reached:    CVE, Library, Mode, Addr, Patched, Confidence
 //	scan_error:         CVE, Library, Mode, Fail, Reason
-//	retrieval:          CVE, Library, Mode, Retrieved, Rescored, Pruned
 //	prefilter:          CVE, Images (candidate images), Pruned (images pruned),
 //	                    Reason (set when the row degraded to the full grid)
 type Event struct {
@@ -112,8 +109,6 @@ type Event struct {
 	Pairs      int     `json:"pairs,omitempty"`
 	Candidates int     `json:"candidates,omitempty"`
 	Survivors  int     `json:"survivors,omitempty"`
-	Retrieved  int     `json:"retrieved,omitempty"`
-	Rescored   int     `json:"rescored,omitempty"`
 	Pruned     int     `json:"pruned,omitempty"`
 	Matched    bool    `json:"matched,omitempty"`
 	Patched    bool    `json:"patched,omitempty"`

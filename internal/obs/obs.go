@@ -106,15 +106,6 @@ const (
 	CtrJournalOK     // journal appends that reached disk
 	CtrJournalErrors // journal appends that failed (crash-safety degraded)
 
-	// Retrieval static stage (embedding index). Per retrieval-enabled grid
-	// cell, rescored_pairs + candidates_pruned equals the cell's pair total,
-	// and the exact-scoring partition (pairs_scored + pairs_deduped +
-	// pairs_from_store) covers only the rescored pairs. Counted from the
-	// sequential reduction, never from worker goroutines.
-	CtrRetrievalHits    // unique function bodies returned by index lookups
-	CtrRescoredPairs    // retrieved pairs rescored by the exact pair network
-	CtrCandidatesPruned // pairs skipped because their body was not retrieved
-
 	// Component-identification prefilter (grid pruning). Counted from the
 	// sequential prefilter pass before the grid is scheduled.
 	CtrCellsPruned       // (image, CVE, mode) grid cells skipped by the prefilter
@@ -170,9 +161,6 @@ var counterNames = [NumCounters]string{
 	CtrJobsResumed:         "jobs_resumed",
 	CtrJournalOK:           "journal_appends",
 	CtrJournalErrors:       "journal_errors",
-	CtrRetrievalHits:       "retrieval_hits",
-	CtrRescoredPairs:       "rescored_pairs",
-	CtrCandidatesPruned:    "candidates_pruned",
 	CtrCellsPruned:         "cells_pruned",
 	CtrPrefilterDegraded:   "prefilter_degraded",
 }

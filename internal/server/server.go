@@ -114,13 +114,6 @@ type Config struct {
 	// entries (0 = default 256).
 	RefCacheSize int
 
-	// Embedder, when non-nil, routes every job's static stage through the
-	// embedding-index retrieval path (top-K nomination + exact rescoring);
-	// nil keeps the exact scan. TopK is the nomination budget per query
-	// (<= 0 = the engine default).
-	Embedder *patchecko.Embedder
-	TopK     int
-
 	// NoPrefilter disables the component-identification prefilter, scanning
 	// every job's full (image, CVE, mode) grid. Served Reports are
 	// byte-identical either way; the flag exists as the operator's escape
@@ -798,8 +791,6 @@ func (s *Server) runJob(j *job) {
 		an.Store = s.cfg.Store
 		an.Obs = j.sink
 		an.StaticOnly = degraded
-		an.Embedder = s.cfg.Embedder
-		an.TopK = s.cfg.TopK
 		an.Prefilter = !s.cfg.NoPrefilter
 
 		// Full-pipeline attempts under a deadline get a soft budget of 3/4

@@ -84,14 +84,6 @@ func TestScanFirmwareChaos(t *testing.T) {
 	}
 	defer disarmAll()
 
-	// The retrieval runs swap in the embedding-index static stage; at the
-	// default top-K it covers every unique body of the fixture images, so
-	// even under armed faults the report must match the exact paths.
-	chaosEmb, err := DistillEmbedder(model, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	healthy := len(fw.Images) - 1
 	// Normalized reports are worker-count-invariant within one prefilter
 	// setting, but under armed faults the prefiltered grid can legitimately
@@ -100,41 +92,35 @@ func TestScanFirmwareChaos(t *testing.T) {
 	// on vs off is a fault-free guarantee, pinned by the golden and recall
 	// suites — so each prefilter setting keeps its own baseline report.
 	bases := make(map[bool]*Report)
-	// Deterministic counters depend on the dedup, retrieval and prefilter
-	// settings (shared work is counted as deduped, not scored; retrieval
-	// counters are zero on exact scans; pruned cells never count), so each
-	// setting tuple keeps its own worker-count-invariant baseline.
-	type counterKey struct{ noDedup, retrieval, prefilter bool }
+	// Deterministic counters depend on the dedup and prefilter settings
+	// (shared work is counted as deduped, not scored; pruned cells never
+	// count), so each setting pair keeps its own worker-count-invariant
+	// baseline.
+	type counterKey struct{ noDedup, prefilter bool }
 	baseCounters := make(map[counterKey]map[string]int64)
 	// The scalar runs pin the static stage to the reference path, the traced
 	// runs arm full observability, the noDedup runs disable the
-	// content-addressed fast path, the retrieval runs route the static
-	// stage through the embedding index, and the prefilter runs let the
-	// component prefilter prune the grid: batched, scalar, observed,
-	// unobserved, deduped, every-pair, retrieval, exact, pruned and
-	// full-grid scans must all produce byte-identical reports (per prefilter
-	// setting) even with every fault armed, and the deterministic pipeline
-	// counters must not depend on the worker count either.
+	// content-addressed fast path, and the prefilter runs let the component
+	// prefilter prune the grid: batched, scalar, observed, unobserved,
+	// deduped, every-pair, pruned and full-grid scans must all produce
+	// byte-identical reports (per prefilter setting) even with every fault
+	// armed, and the deterministic pipeline counters must not depend on the
+	// worker count either.
 	for _, cfg := range []struct {
 		workers   int
 		scalar    bool
 		traced    bool
 		noDedup   bool
-		retrieval bool
 		prefilter bool
 	}{
-		{1, false, false, false, false, false}, {4, false, false, false, false, false}, {16, false, false, false, false, false},
-		{1, true, false, false, false, false}, {4, true, false, false, false, false},
-		{1, false, true, false, false, false}, {4, false, true, false, false, false}, {16, false, true, false, false, false},
-		{1, false, false, true, false, false}, {16, false, false, true, false, false},
-		{4, true, false, true, false, false}, {1, false, true, true, false, false}, {16, false, true, true, false, false},
-		{1, false, false, false, true, false}, {16, false, false, false, true, false},
-		{4, false, true, false, true, false}, {16, false, true, false, true, false},
-		{4, true, false, true, true, false}, {1, false, true, true, true, false},
-		{1, false, true, false, false, true}, {4, false, true, false, false, true}, {16, false, true, false, false, true},
-		{1, false, true, true, false, true}, {16, false, true, true, false, true},
-		{4, false, true, false, true, true}, {16, false, true, false, true, true},
-		{4, true, false, false, false, true},
+		{1, false, false, false, false}, {4, false, false, false, false}, {16, false, false, false, false},
+		{1, true, false, false, false}, {4, true, false, false, false},
+		{1, false, true, false, false}, {4, false, true, false, false}, {16, false, true, false, false},
+		{1, false, false, true, false}, {16, false, false, true, false},
+		{4, true, false, true, false}, {1, false, true, true, false}, {16, false, true, true, false},
+		{1, false, true, false, true}, {4, false, true, false, true}, {16, false, true, false, true},
+		{1, false, true, true, true}, {16, false, true, true, true},
+		{4, true, false, false, true},
 	} {
 		workers := cfg.workers
 		// A fresh analyzer per run: reference failures memoize per analyzer,
@@ -144,9 +130,6 @@ func TestScanFirmwareChaos(t *testing.T) {
 		an.StaticScalar = cfg.scalar
 		an.Dedup = !cfg.noDedup
 		an.Prefilter = cfg.prefilter
-		if cfg.retrieval {
-			an.Embedder = chaosEmb
-		}
 		if cfg.traced {
 			an.Obs = obs.NewTraced(0)
 		}
@@ -156,14 +139,14 @@ func TestScanFirmwareChaos(t *testing.T) {
 		}
 		if cfg.traced {
 			counters := an.Obs.Counters()
-			key := counterKey{cfg.noDedup, cfg.retrieval, cfg.prefilter}
+			key := counterKey{cfg.noDedup, cfg.prefilter}
 			if baseCounters[key] == nil {
 				baseCounters[key] = counters
 			} else {
 				for name, want := range baseCounters[key] {
 					if got := counters[name]; got != want {
-						t.Errorf("workers=%d dedup=%v retrieval=%v: chaos counter %s = %d, want %d (first traced run)",
-							workers, !cfg.noDedup, cfg.retrieval, name, got, want)
+						t.Errorf("workers=%d dedup=%v: chaos counter %s = %d, want %d (first traced run)",
+							workers, !cfg.noDedup, name, got, want)
 					}
 				}
 			}

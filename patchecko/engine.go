@@ -25,7 +25,6 @@ import (
 	"repro/internal/cas"
 	"repro/internal/detector"
 	"repro/internal/dynamic"
-	"repro/internal/embed"
 	"repro/internal/faultinject"
 	"repro/internal/minic"
 	"repro/internal/obs"
@@ -59,12 +58,6 @@ type refEntry struct {
 	// (CVE, arch, mode), reused by every image and worker.
 	qhDone bool
 	qh     *detector.QueryHalves
-
-	// qe caches the reference static vector's embedding for the retrieval
-	// static stage, keyed by the embedder that produced it so analyzers with
-	// different embedders sharing one cache never cross streams.
-	qeEmb *embed.Embedder
-	qe    []float64
 
 	profDone bool
 	profiles []dynamic.Profile
@@ -280,15 +273,6 @@ type ScanStats struct {
 	StoreHits          int64 // persistent-store consults answered with a current score
 	StoreMisses        int64 // persistent-store consults with no usable entry
 	StoreInvalidated   int64 // persistent-store consults stale under the current model hash
-
-	// Embedding-index retrieval counters, summed over the cells that ran the
-	// retrieval static stage (all zero when Analyzer.Embedder is nil). Per
-	// such cell RescoredPairs + CandidatesPruned equals the cell's pair
-	// total; they measure work the index pruned, vary with the Embedder and
-	// TopK configuration, and are zeroed by Report.Normalize.
-	RetrievalHits    int64 // unique function bodies nominated by index lookups
-	RescoredPairs    int64 // nominated pairs rescored by the exact pair network
-	CandidatesPruned int64 // pairs skipped because their body was not nominated
 }
 
 // PrepareImages disassembles and feature-extracts a set of library images
@@ -569,11 +553,6 @@ func (a *Analyzer) ScanFirmware(ctx context.Context, fw *Firmware) (*Report, err
 			}
 			stats.CandidatesExcluded += len(scan.Excluded)
 			stats.PartialSurvivors += scan.NumPartial
-			if scan.retrievalUsed {
-				stats.RetrievalHits += int64(scan.retrievedUnique)
-				stats.RescoredPairs += int64(scan.rescoredPairs)
-				stats.CandidatesPruned += int64(scan.prunedFuncs)
-			}
 			a.Obs.Add(obs.CtrCellsCompleted, 1)
 			a.emitCellEvents(scan)
 			if best == nil || better(scan, best) {
@@ -698,20 +677,6 @@ func (a *Analyzer) EmitScanEvents(scan *CVEScan) {
 func (a *Analyzer) emitCellEvents(scan *CVEScan) {
 	if !a.Obs.Enabled() {
 		return
-	}
-	if scan.retrievalUsed {
-		a.Obs.Add(obs.CtrRetrievalHits, int64(scan.retrievedUnique))
-		a.Obs.Add(obs.CtrRescoredPairs, int64(scan.rescoredPairs))
-		a.Obs.Add(obs.CtrCandidatesPruned, int64(scan.prunedFuncs))
-		a.Obs.Emit(obs.Event{
-			Kind:      obs.EvRetrieval,
-			CVE:       scan.CVE,
-			Library:   scan.Library,
-			Mode:      scan.Mode.String(),
-			Retrieved: scan.retrievedUnique,
-			Rescored:  scan.rescoredPairs,
-			Pruned:    scan.prunedFuncs,
-		})
 	}
 	a.Obs.Emit(obs.Event{
 		Kind:       obs.EvCellCompleted,

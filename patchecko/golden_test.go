@@ -69,37 +69,13 @@ func goldenFixtures(t *testing.T) (*Model, *DB, *Firmware) {
 }
 
 // goldenConfig selects one analyzer configuration for a golden run. The
-// zero value is the default scan: dedup on, no persistent store, exact
-// static stage.
+// zero value is the default scan: dedup on, no persistent store.
 type goldenConfig struct {
 	workers     int
 	sink        *obs.Metrics
 	noDedup     bool
 	noPrefilter bool // full scan grid instead of the component-prefiltered one
 	store       *cas.Store
-	retrieval   bool // embedding-index static stage at topK
-	topK        int  // 0 means DefaultTopK
-}
-
-var (
-	goldenEmbOnce sync.Once
-	goldenEmb     *Embedder
-	goldenEmbErr  error
-)
-
-// goldenEmbedder distills the retrieval embedder from the fixture model once
-// per test binary. Distillation is deterministic in (model, seed), so every
-// retrieval run indexes with identical embeddings.
-func goldenEmbedder(t *testing.T) *Embedder {
-	t.Helper()
-	model, _, _ := goldenFixtures(t)
-	goldenEmbOnce.Do(func() {
-		goldenEmb, goldenEmbErr = DistillEmbedder(model, 1)
-	})
-	if goldenEmbErr != nil {
-		t.Fatal(goldenEmbErr)
-	}
-	return goldenEmb
 }
 
 // goldenReportConfigJSON runs a full firmware scan under one configuration
@@ -117,10 +93,6 @@ func goldenReportConfigJSON(t *testing.T, cfg goldenConfig) []byte {
 	an.Dedup = !cfg.noDedup
 	an.Prefilter = !cfg.noPrefilter
 	an.Store = cfg.store
-	if cfg.retrieval {
-		an.Embedder = goldenEmbedder(t)
-		an.TopK = cfg.topK
-	}
 	report, err := an.ScanFirmware(context.Background(), fw)
 	if err != nil {
 		t.Fatalf("workers=%d: %v", cfg.workers, err)
@@ -201,35 +173,17 @@ func TestGoldenReport(t *testing.T) {
 		}
 	}
 
-	// Retrieval equivalence: the embedding-index static stage at the default
-	// top-K — which exceeds the fixture images' unique-body counts, so the
-	// index nominates every body — must reproduce the golden bytes at every
-	// worker count, with dedup on and off.
-	for _, workers := range []int{1, 4, 16} {
-		for _, noDedup := range []bool{false, true} {
-			got := goldenReportConfigJSON(t, goldenConfig{workers: workers, noDedup: noDedup, retrieval: true})
-			if !bytes.Equal(got, want) {
-				t.Errorf("workers=%d dedup=%v retrieval: report bytes diverge from golden", workers, !noDedup)
-			}
-		}
-	}
-
 	// Prefilter equivalence: the component prefilter (on by default, and on
 	// in every run above) prunes grid cells whose fingerprints cannot host
 	// the CVE, but a pruned cell is always one the full grid would score as
 	// a no-match — so the full grid must reproduce the same committed bytes
-	// at every worker count, with dedup on and off and through the retrieval
-	// static stage.
+	// at every worker count, with dedup on and off.
 	for _, workers := range []int{1, 4, 16} {
 		for _, noDedup := range []bool{false, true} {
 			got := goldenReportConfigJSON(t, goldenConfig{workers: workers, noDedup: noDedup, noPrefilter: true})
 			if !bytes.Equal(got, want) {
 				t.Errorf("workers=%d dedup=%v no-prefilter: report bytes diverge from golden", workers, !noDedup)
 			}
-		}
-		got := goldenReportConfigJSON(t, goldenConfig{workers: workers, retrieval: true, noPrefilter: true})
-		if !bytes.Equal(got, want) {
-			t.Errorf("workers=%d retrieval no-prefilter: report bytes diverge from golden", workers)
 		}
 	}
 
@@ -366,100 +320,6 @@ func TestScanMetricsConsistency(t *testing.T) {
 			report.Stats.CVEs*healthy*2; got != want {
 			t.Errorf("workers=%d: scanned %d + failed %d + pruned %d cells, want full grid %d",
 				workers, report.Stats.ScansRun, report.Stats.CellsFailed, report.Stats.CellsPruned, want)
-		}
-
-		// Determinism across worker counts.
-		counters := sink.Counters()
-		if baseCounters == nil {
-			baseCounters = counters
-			continue
-		}
-		for name, want := range baseCounters {
-			if got := counters[name]; got != want {
-				t.Errorf("workers=%d: counter %s = %d, want %d (workers=1)", workers, name, got, want)
-			}
-		}
-	}
-}
-
-// TestScanMetricsConsistencyRetrieval pins the retrieval counters' contract:
-// they match the Report's stats, the per-cell partition invariants hold
-// (rescored + pruned pairs cover every cell's pair total; the exact-scoring
-// classes cover exactly the rescored pairs), the retrieval trace events sum
-// to the counters, and everything is deterministic across worker counts.
-func TestScanMetricsConsistencyRetrieval(t *testing.T) {
-	model, db, fw := goldenFixtures(t)
-	emb := goldenEmbedder(t)
-	var baseCounters map[string]int64
-	for _, workers := range []int{1, 4, 16} {
-		sink := obs.NewTraced(0)
-		an := NewAnalyzer(model, db)
-		an.Workers = workers
-		an.Obs = sink
-		an.Embedder = emb
-		report, err := an.ScanFirmware(context.Background(), fw)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if dropped := sink.Dropped(); dropped != 0 {
-			t.Fatalf("workers=%d: ring dropped %d events; grow the cap for this fixture", workers, dropped)
-		}
-
-		// Counters vs the Report's own stats.
-		checks := []struct {
-			name string
-			ctr  obs.Counter
-			want int64
-		}{
-			{"retrieval hits", obs.CtrRetrievalHits, report.Stats.RetrievalHits},
-			{"rescored pairs", obs.CtrRescoredPairs, report.Stats.RescoredPairs},
-			{"candidates pruned", obs.CtrCandidatesPruned, report.Stats.CandidatesPruned},
-		}
-		for _, c := range checks {
-			if got := sink.Get(c.ctr); got != c.want {
-				t.Errorf("workers=%d: %s counter = %d, want %d", workers, c.name, got, c.want)
-			}
-		}
-		if report.Stats.RescoredPairs == 0 {
-			t.Errorf("workers=%d: retrieval scan rescored no pairs", workers)
-		}
-
-		// Event stream vs counters, and the per-cell pair partition: every
-		// cell ran retrieval, so rescored + pruned must cover the cells' pair
-		// totals exactly.
-		var evPairs, evCells, evRetrieval, evRetrieved, evRescored, evPruned int64
-		for _, ev := range sink.Events() {
-			switch ev.Kind {
-			case obs.EvCellCompleted:
-				evCells++
-				evPairs += int64(ev.Pairs)
-			case obs.EvRetrieval:
-				evRetrieval++
-				evRetrieved += int64(ev.Retrieved)
-				evRescored += int64(ev.Rescored)
-				evPruned += int64(ev.Pruned)
-			}
-		}
-		if evRetrieval != evCells {
-			t.Errorf("workers=%d: %d retrieval events for %d cells", workers, evRetrieval, evCells)
-		}
-		rescored, pruned := sink.Get(obs.CtrRescoredPairs), sink.Get(obs.CtrCandidatesPruned)
-		if rescored+pruned != evPairs {
-			t.Errorf("workers=%d: rescored %d + pruned %d != Σ cell pairs %d", workers, rescored, pruned, evPairs)
-		}
-		if evRetrieved != sink.Get(obs.CtrRetrievalHits) || evRescored != rescored || evPruned != pruned {
-			t.Errorf("workers=%d: retrieval events (%d, %d, %d) diverge from counters (%d, %d, %d)",
-				workers, evRetrieved, evRescored, evPruned, sink.Get(obs.CtrRetrievalHits), rescored, pruned)
-		}
-
-		// The exact-scoring partition covers only the rescored pairs: with
-		// dedup on, every rescored pair is computed once, reused from memory,
-		// or answered by the store — never scored behind retrieval's back.
-		scored, deduped, fromStore := sink.Get(obs.CtrPairsScored),
-			sink.Get(obs.CtrPairsDeduped), sink.Get(obs.CtrPairsFromStore)
-		if scored+deduped+fromStore != rescored {
-			t.Errorf("workers=%d: pairs scored %d + deduped %d + from store %d != rescored %d",
-				workers, scored, deduped, fromStore, rescored)
 		}
 
 		// Determinism across worker counts.

@@ -35,7 +35,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/annindex"
 	"repro/internal/binimg"
 	"repro/internal/cas"
 	"repro/internal/compid"
@@ -44,7 +43,6 @@ import (
 	"repro/internal/diffengine"
 	"repro/internal/disasm"
 	"repro/internal/dynamic"
-	"repro/internal/embed"
 	"repro/internal/features"
 	"repro/internal/minic"
 	"repro/internal/nn"
@@ -81,9 +79,6 @@ type (
 	Image = binimg.Image
 	// Verdict is the differential engine's patch decision.
 	Verdict = diffengine.Verdict
-	// Embedder is the single-tower embedding head the retrieval static
-	// stage uses (see Analyzer.Embedder and DistillEmbedder).
-	Embedder = embed.Embedder
 )
 
 // Preset scales.
@@ -116,14 +111,6 @@ func TrainDetector(groups Groups, cfg TrainConfig) (*Model, *History, *detector.
 
 // BuildVulnDB builds Dataset II: the 25-CVE vulnerability database.
 func BuildVulnDB(s Scale, seed int64) (*DB, error) { return corpus.BuildDB(s, seed) }
-
-// DistillEmbedder distills the retrieval static stage's single-tower
-// embedding head from a trained detector (deterministic in model and seed).
-// Assign the result to Analyzer.Embedder to enable embedding-index
-// retrieval.
-func DistillEmbedder(m *Model, seed int64) (*Embedder, error) {
-	return embed.DistillFromModel(m, seed)
-}
 
 // BuildFirmware builds Dataset III for a device.
 func BuildFirmware(dev Device, s Scale) (*Firmware, error) {
@@ -205,20 +192,6 @@ type Analyzer struct {
 	// byte-identical either way; only warmth (Stats.CacheHits/CacheMisses)
 	// varies, which Report.Normalize zeroes for comparisons.
 	SharedCache *RefCache
-	// Embedder, when non-nil, switches the static stage to embedding-index
-	// retrieval (see retrieval.go): each unique function body is embedded
-	// once per image, a deterministic nearest-neighbour index nominates the
-	// TopK closest bodies to the CVE reference's embedding, and only the
-	// nominated pairs are rescored by the exact pair network — candidates
-	// always carry exact scores; retrieval can only prune, never re-rank.
-	// With TopK at least the image's unique-body count, reports are
-	// byte-identical to the exact paths. Nil — the default — is the escape
-	// hatch: the exact every-pair static stage. Distill one with
-	// DistillEmbedder.
-	Embedder *embed.Embedder
-	// TopK is the retrieval depth when Embedder is set; <= 0 means
-	// DefaultTopK. Ignored on the exact paths.
-	TopK int
 	// Prefilter — on by default via NewAnalyzer — runs the component-
 	// identification prefilter (internal/compid) before ScanFirmware
 	// schedules its grid: each prepared image is fingerprinted once, and a
@@ -295,13 +268,6 @@ type PreparedImage struct {
 	ts       *detector.TargetSet
 	utsModel *Model
 	uts      *detector.TargetSet
-
-	// Embedding-index retrieval: the unique representatives embedded and
-	// indexed once per (image, embedder), shared by every CVE, mode and
-	// worker. Built lazily under mu like the target sets.
-	annEmb *embed.Embedder
-	ann    *annindex.Index
-	annErr error
 
 	// fp is the image's component fingerprint for the prefilter, built
 	// lazily under mu by Fingerprint and shared across every CVE row.
@@ -427,15 +393,6 @@ type CVEScan struct {
 	// Timings, for the paper's processing-time columns.
 	StaticTime  time.Duration
 	DynamicTime time.Duration
-
-	// Retrieval bookkeeping (unexported, never serialized): filled when the
-	// embedding-index static stage ran this cell, consumed by the scan
-	// reduction's stats and trace events, zeroed by Report.Normalize so
-	// retrieval-on and retrieval-off reports of the same scan compare equal.
-	retrievalUsed   bool
-	retrievedUnique int // unique bodies the index nominated
-	rescoredPairs   int // pairs rescored by the exact network
-	prunedFuncs     int // pairs skipped (body not nominated)
 }
 
 // TopRank returns the 1-based rank of addr in the dynamic ranking, or 0.
@@ -501,13 +458,7 @@ func (a *Analyzer) scanImage(ctx context.Context, p *PreparedImage, cveID string
 	// candidates — indices, exact scores, order — are identical.
 	sw := obs.StartStopwatch()
 	var cands []detector.Candidate
-	if a.Embedder != nil {
-		var rerr error
-		cands, rerr = a.retrieveCandidates(entry, arch, mode, p, sc, scan)
-		if rerr != nil {
-			return nil, &refError{rerr}
-		}
-	} else if a.Dedup {
+	if a.Dedup {
 		var derr error
 		cands, derr = a.dedupCandidates(entry, arch, mode, p, sc)
 		if derr != nil {
@@ -733,8 +684,6 @@ func (r *Report) Normalize() {
 	for _, s := range r.Results {
 		if s != nil {
 			s.StaticTime, s.DynamicTime = 0, 0
-			s.retrievalUsed = false
-			s.retrievedUnique, s.rescoredPairs, s.prunedFuncs = 0, 0, 0
 		}
 	}
 	r.Stats.PrepareWall, r.Stats.ScanWall = 0, 0
@@ -745,7 +694,6 @@ func (r *Report) Normalize() {
 	r.Stats.PairsDeduped, r.Stats.PairsFromStore = 0, 0
 	r.Stats.ValidationsDeduped = 0
 	r.Stats.StoreHits, r.Stats.StoreMisses, r.Stats.StoreInvalidated = 0, 0, 0
-	r.Stats.RetrievalHits, r.Stats.RescoredPairs, r.Stats.CandidatesPruned = 0, 0, 0
 }
 
 // better prefers matched scans with smaller similarity distance. It is the

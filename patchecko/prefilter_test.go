@@ -178,7 +178,7 @@ type prefilterCosts struct {
 // and recall on the device and fleet fixtures plus the pass's own costs, and
 // merges the "prefilter" object into the artifact at PATCHECKO_BENCH_OUT.
 // Skipped when the variable is unset; `make bench-static` opts in after the
-// detector and retrieval writers have run.
+// detector writer has run.
 func TestWritePrefilterBenchArtifact(t *testing.T) {
 	out := os.Getenv("PATCHECKO_BENCH_OUT")
 	if out == "" {
@@ -283,7 +283,7 @@ func TestWritePrefilterBenchArtifact(t *testing.T) {
 		}
 	}
 
-	// Merge into the detector/retrieval-written artifact, not over it.
+	// Merge into the detector-written artifact, not over it.
 	merged := make(map[string]json.RawMessage)
 	if prev, err := os.ReadFile(out); err == nil {
 		if err := json.Unmarshal(prev, &merged); err != nil {
