@@ -62,7 +62,7 @@ func run() (err error) {
 		deadline = fs.Duration("deadline", 0, "per-job wall-clock bound (0 = none); the last quarter degrades to static-only")
 		shed     = fs.Float64("shed", 0, "queue fraction in (0,1] beyond which jobs degrade to static-only (0 = off)")
 
-		refCache   = fs.Int("ref-cache", 0, "shared reference-cache entry bound (0 = default 256)")
+		refCache   = fs.Int("ref-cache", 0, "shared reference-cache slot bound, counting each CVE's per-arch references and dedup table (0 = default 300)")
 		journal    = fs.String("journal", "", "crash-safe job journal path (empty = in-memory only, no resume)")
 		journalMax = fs.Int64("journal-max", 0, "journal compaction threshold in bytes (0 = default 4MiB)")
 

@@ -10,9 +10,11 @@
 // corrupted or key-mismatched entry is a miss (recompute), and an entry
 // written under a different model hash is an invalidation (recompute) — in
 // no case can a bad entry surface as a wrong score. Dynamic outcomes and
-// verdicts are deliberately NOT persisted: they are recomputed (or shared
-// in memory within one analyzer), which keeps the on-disk format trivial to
-// audit and the delta-scan accounting exact.
+// verdicts are deliberately NOT persisted: they are recomputed, or shared
+// in memory through the dedup tables of the scanner's reference cache
+// (patchecko.RefCache) — within one analyzer, or across every job of the
+// resident daemon, which gives all its jobs one cache. That keeps the
+// on-disk format trivial to audit and the delta-scan accounting exact.
 
 package cas
 

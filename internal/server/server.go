@@ -111,7 +111,9 @@ type Config struct {
 	ShedThreshold float64
 
 	// RefCacheSize bounds the process-wide shared reference cache in
-	// entries (0 = default 256).
+	// slots (0 = default 300): one per (CVE, arch, reference version) and
+	// one dedup table per (CVE, arch), whose score and validation rows
+	// every job reads and fills.
 	RefCacheSize int
 
 	// NoPrefilter disables the component-identification prefilter, scanning
@@ -141,6 +143,12 @@ type Config struct {
 	// queue occupancy deterministically (fill the queue while a worker
 	// holds); production configs leave it nil.
 	gate chan struct{}
+	// started, when non-nil, parks every job attempt once the job is
+	// running and its started record is journaled: the worker sends one
+	// token, then holds the attempt until the job context ends (Close or a
+	// client cancel). In-package tests use it to shut down provably
+	// mid-job; production configs leave it nil.
+	started chan struct{}
 }
 
 // Validate checks the configuration bounds, returning a clear error naming
@@ -177,9 +185,15 @@ func (c *Config) Validate() error {
 
 // Defaults for the zero Config values.
 const (
-	defaultQueueDepth   = 64
-	defaultWorkers      = 2
-	defaultRefCacheSize = 256
+	defaultQueueDepth = 64
+	defaultWorkers    = 2
+	// defaultRefCacheSize holds every slot the largest DB can fill at one
+	// step limit: 25 CVEs × 4 architectures × {vulnerable reference,
+	// patched reference, dedup table}. A bound below that would evict a
+	// CVE's dedup table — and with it every score and validation earlier
+	// jobs left there — while a fleet of mixed-arch devices is still
+	// scanning it.
+	defaultRefCacheSize = 25 * 4 * 3
 )
 
 // Job states.
@@ -784,6 +798,13 @@ func (s *Server) runJob(j *job) {
 		s.mu.Unlock()
 		s.journal.append(recStarted, j.id, nil)
 		j.sink.Emit(obs.Event{Kind: obs.EvJobStarted, Job: j.id, Tenant: j.tenant, Attempt: attempt})
+		if s.cfg.started != nil {
+			select {
+			case s.cfg.started <- struct{}{}:
+			case <-ctx.Done():
+			}
+			<-ctx.Done()
+		}
 
 		an := patchecko.NewAnalyzer(s.cfg.Model, s.cfg.DB)
 		an.Workers = s.cfg.ScanWorkers

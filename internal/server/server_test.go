@@ -320,6 +320,52 @@ func TestServedReportMatchesGolden(t *testing.T) {
 	}
 }
 
+// TestRescanSharesDedupTables pins cross-job reuse: every job runs on the
+// server's one reference cache, so a job scanning firmware an earlier job
+// already scanned executes nothing and still serves the golden bytes. Two
+// concurrent submissions of the same firmware single-flight each
+// execution between them: together they execute exactly what one cold job
+// does.
+func TestRescanSharesDedupTables(t *testing.T) {
+	executions := func(s *Server, id string) int64 { return s.lookup(id).sink.Get(obs.CtrExecutions) }
+	golden := func(s *Server, id string) {
+		t.Helper()
+		if st := waitDone(t, s, id); st.State != StateDone {
+			t.Fatalf("job %s state %s (error %+v)", id, st.State, st.Error)
+		}
+		if !bytes.Equal(servedReport(t, s, id, true), goldenBytes(t)) {
+			t.Errorf("job %s report diverges from golden bytes", id)
+		}
+	}
+
+	cfg := baseConfig(t)
+	cfg.ScanWorkers = 2
+	s := newServer(t, cfg)
+	first := submit(t, s, goldenSubmission(t))
+	golden(s, first)
+	second := submit(t, s, goldenSubmission(t))
+	golden(s, second)
+	cold := executions(s, first)
+	if cold == 0 {
+		t.Fatal("first job executed nothing")
+	}
+	if got := executions(s, second); got != 0 {
+		t.Errorf("rescan executed %d times, want 0", got)
+	}
+
+	cfg = baseConfig(t)
+	cfg.Workers = 2
+	cfg.ScanWorkers = 2
+	s = newServer(t, cfg)
+	a := submit(t, s, goldenSubmission(t))
+	b := submit(t, s, goldenSubmission(t))
+	golden(s, a)
+	golden(s, b)
+	if got := executions(s, a) + executions(s, b); got != cold {
+		t.Errorf("concurrent jobs executed %d times together, want %d as one cold job", got, cold)
+	}
+}
+
 // TestLoadShedding pins the degradation contract: a job dequeued under
 // queue pressure is shed to the static-only pipeline and its report says so
 // explicitly; jobs dequeued off a calm queue are not.
@@ -517,12 +563,13 @@ func TestMidJobRestart(t *testing.T) {
 
 	cfg := baseConfig(t)
 	cfg.JournalPath = journal
+	cfg.started = make(chan struct{})
 	life1, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	id := submit(t, life1, goldenSubmission(t))
-	waitState(t, life1, id, StateRunning)
+	<-cfg.started // running, started record journaled, held until Close
 	life1.Close() // cancels the in-flight scan; no terminal journal record
 
 	cfg2 := baseConfig(t)

@@ -1,7 +1,10 @@
 // Content-addressed dedup: the scan grid's per-function work keyed by
 // content address instead of by (image, function index), so duplicated
-// function bodies — within one image or across a whole fleet — are scored
-// and validated once and the results fanned out.
+// function bodies — within one image, across a whole fleet, or across the
+// successive releases a resident daemon scans — are scored and validated
+// once and the results fanned out. The rows live in per-(CVE, arch, step
+// limit) dedup tables on the analyzer's RefCache (engine.go), so analyzers
+// sharing one cache share them too.
 //
 // Sharing is sound because equal content addresses imply bit-identical
 // behavior for everything the shared results capture (see internal/cas):
@@ -16,7 +19,7 @@
 // One caveat, relevant only to tests: fault injection keyed on an image
 // name (faultinject.ExecTrap on a candidate image) deliberately breaks the
 // "same content, same behavior" premise. The chaos suite arms execution
-// faults on reference images only, which the dedup caches never serve.
+// faults on reference images only, which the dedup tables never serve.
 
 package patchecko
 
@@ -35,91 +38,21 @@ import (
 	"repro/internal/vulndb"
 )
 
-// scoreKey identifies one shared static score: a CVE query (one mode)
-// against one function body.
-type scoreKey struct {
-	cve  string
-	mode QueryMode
-	fn   cas.Addr
-}
-
-// scoreEntry memoizes one static score under a mutex; holding the mutex
-// across the computation single-flights concurrent consults, exactly like
-// the reference cache.
-type scoreEntry struct {
-	mu    sync.Mutex
-	done  bool
-	score float64
-}
-
-// scoreCache memoizes static scores by content address. The atomic counters
-// classify every consult — computed, reused in memory, or answered by the
-// persistent store — and are the source of the Report's dedup statistics,
-// so they work with a nil Obs sink too.
-type scoreCache struct {
-	mu      sync.Mutex
-	entries map[scoreKey]*scoreEntry
-
+// consultCounts classify this analyzer's own consults of its reference
+// cache and dedup tables. They live on the Analyzer, not the cache, so an
+// analyzer on a shared cache counts only its own work, never that of the
+// analyzers it shares with. They are the source of the Report's cache and
+// dedup statistics, so they work with a nil Obs sink too.
+type consultCounts struct {
+	refHits     atomic.Int64 // reference-profile consults answered from cache
+	refMisses   atomic.Int64 // reference-profile consults that computed
 	scored      atomic.Int64
 	deduped     atomic.Int64
 	fromStore   atomic.Int64
 	storeHits   atomic.Int64
 	storeMisses atomic.Int64
 	storeStale  atomic.Int64
-}
-
-func (c *scoreCache) entry(k scoreKey) *scoreEntry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.entries == nil {
-		c.entries = make(map[scoreKey]*scoreEntry)
-	}
-	e, ok := c.entries[k]
-	if !ok {
-		e = &scoreEntry{}
-		c.entries[k] = e
-	}
-	return e
-}
-
-// dynKey identifies one shared validation outcome: one function body
-// profiled under one CVE's environments at one step limit. The query mode
-// is deliberately absent — environments depend only on the CVE entry, so
-// vulnerable- and patched-mode cells share the same execution.
-type dynKey struct {
-	cve   string
-	limit int64
-	fn    cas.Addr
-}
-
-// dynEntry memoizes one profiling outcome under a single-flight mutex.
-type dynEntry struct {
-	mu       sync.Mutex
-	done     bool
-	eps      []dynamic.EnvProfile
-	err      error
-	panicked bool
-}
-
-// dynCache memoizes candidate validation outcomes by content address.
-type dynCache struct {
-	mu      sync.Mutex
-	entries map[dynKey]*dynEntry
-	shared  atomic.Int64
-}
-
-func (c *dynCache) entry(k dynKey) *dynEntry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.entries == nil {
-		c.entries = make(map[dynKey]*dynEntry)
-	}
-	e, ok := c.entries[k]
-	if !ok {
-		e = &dynEntry{}
-		c.entries[k] = e
-	}
-	return e
+	shared      atomic.Int64 // validations served from a dedup table
 }
 
 // DedupCounts are the analyzer-lifetime dedup and delta-scan totals, the
@@ -128,9 +61,9 @@ func (c *dynCache) entry(k dynKey) *dynEntry {
 // standalone ScanImage loops.
 type DedupCounts struct {
 	PairsScored        int64 // static scores computed
-	PairsDeduped       int64 // static scores reused from the in-memory cache
+	PairsDeduped       int64 // static scores reused from an in-memory dedup table
 	PairsFromStore     int64 // static scores answered by the persistent store
-	ValidationsDeduped int64 // candidate validations reused from the in-memory cache
+	ValidationsDeduped int64 // candidate validations reused from an in-memory dedup table
 	StoreHits          int64
 	StoreMisses        int64
 	StoreInvalidated   int64
@@ -139,28 +72,30 @@ type DedupCounts struct {
 // DedupCounts returns the analyzer's dedup totals so far.
 func (a *Analyzer) DedupCounts() DedupCounts {
 	return DedupCounts{
-		PairsScored:        a.scores.scored.Load(),
-		PairsDeduped:       a.scores.deduped.Load(),
-		PairsFromStore:     a.scores.fromStore.Load(),
-		ValidationsDeduped: a.dyn.shared.Load(),
-		StoreHits:          a.scores.storeHits.Load(),
-		StoreMisses:        a.scores.storeMisses.Load(),
-		StoreInvalidated:   a.scores.storeStale.Load(),
+		PairsScored:        a.consults.scored.Load(),
+		PairsDeduped:       a.consults.deduped.Load(),
+		PairsFromStore:     a.consults.fromStore.Load(),
+		ValidationsDeduped: a.consults.shared.Load(),
+		StoreHits:          a.consults.storeHits.Load(),
+		StoreMisses:        a.consults.storeMisses.Load(),
+		StoreInvalidated:   a.consults.storeStale.Load(),
 	}
 }
 
-// storeKey renders a score key for the persistent store. The rendered form
-// is stable — it is the on-disk contract — and collision-free: CVE ids and
-// mode names cannot contain '|' and the address is fixed-width hex.
-func storeKey(k scoreKey) string {
-	return k.cve + "|" + k.mode.String() + "|" + k.fn.String()
+// storeKey renders a CVE's score key for the persistent store. The
+// rendered form is stable — it is the on-disk contract — and
+// collision-free: CVE ids and mode names cannot contain '|' and the address
+// is fixed-width hex.
+func storeKey(cve string, k scoreKey) string {
+	return cve + "|" + k.mode.String() + "|" + k.fn.String()
 }
 
 // dedupCandidates is the static stage with per-unique-body scoring: every
-// function consults the shared score for its content address, computing —
-// through the caller's batched scorer or the scalar reference path — only
-// on first sight. Candidate selection, ordering and observability then run
-// per occurrence, so the candidate list is exactly the every-pair list.
+// function consults the shared score for its content address in the CVE's
+// dedup table, computing — through the caller's batched scorer or the
+// scalar reference path — only on first sight. Candidate selection,
+// ordering and observability then run per occurrence, so the candidate
+// list is exactly the every-pair list.
 func (a *Analyzer) dedupCandidates(entry *vulndb.Entry, arch string, mode QueryMode, p *PreparedImage, sc *detector.Scorer) ([]detector.Candidate, error) {
 	var compute func(i int) float64
 	if sc == nil {
@@ -178,9 +113,10 @@ func (a *Analyzer) dedupCandidates(entry *vulndb.Entry, arch string, mode QueryM
 		uts := p.UniqueTargets(a.model)
 		compute = func(i int) float64 { return sc.Pair(qh, uts, p.uniqPos[i]) }
 	}
+	t := a.refcache().table(entry.ID, arch, a.StepLimit)
 	var out []detector.Candidate
 	for i := range p.Vecs {
-		s := a.sharedScore(scoreKey{cve: entry.ID, mode: mode, fn: p.CAS[i]}, i, compute)
+		s := a.sharedScore(t, entry.ID, scoreKey{mode: mode, fn: p.CAS[i]}, i, compute)
 		if s >= a.model.Threshold {
 			out = append(out, detector.Candidate{Index: i, Score: s})
 		}
@@ -201,41 +137,41 @@ func (a *Analyzer) dedupCandidates(entry *vulndb.Entry, arch string, mode QueryM
 	return out, nil
 }
 
-// sharedScore returns the static score for key k, serving it from the
-// in-memory cache, then the persistent store, then computing via
-// compute(i). Exactly one consult per key computes (single-flight under the
-// entry mutex), so the scored/deduped/store counters are deterministic for
-// any worker count.
-func (a *Analyzer) sharedScore(k scoreKey, i int, compute func(i int) float64) float64 {
-	e := a.scores.entry(k)
+// sharedScore returns the CVE's static score for key k, serving it from
+// the dedup table t, then the persistent store, then computing via
+// compute(i). Exactly one consult per row computes (single-flight under the
+// row mutex), so on a private cache the scored/deduped/store counters are
+// deterministic for any worker count.
+func (a *Analyzer) sharedScore(t *dedupTable, cve string, k scoreKey, i int, compute func(i int) float64) float64 {
+	e := t.score(k)
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.done {
-		a.scores.deduped.Add(1)
+		a.consults.deduped.Add(1)
 		a.Obs.Add(obs.CtrPairsDeduped, 1)
 		return e.score
 	}
 	var sk string
 	if a.Store != nil {
-		sk = storeKey(k)
+		sk = storeKey(cve, k)
 		switch v, st := a.Store.GetScore(sk); st {
 		case cas.StatusHit:
-			a.scores.storeHits.Add(1)
-			a.scores.fromStore.Add(1)
+			a.consults.storeHits.Add(1)
+			a.consults.fromStore.Add(1)
 			a.Obs.Add(obs.CtrStoreHits, 1)
 			a.Obs.Add(obs.CtrPairsFromStore, 1)
 			e.done, e.score = true, v
 			return v
 		case cas.StatusInvalidated:
-			a.scores.storeStale.Add(1)
+			a.consults.storeStale.Add(1)
 			a.Obs.Add(obs.CtrStoreInvalidated, 1)
 		default:
-			a.scores.storeMisses.Add(1)
+			a.consults.storeMisses.Add(1)
 			a.Obs.Add(obs.CtrStoreMisses, 1)
 		}
 	}
 	v := compute(i)
-	a.scores.scored.Add(1)
+	a.consults.scored.Add(1)
 	a.Obs.Add(obs.CtrPairsScored, 1)
 	e.done, e.score = true, v
 	if a.Store != nil {
@@ -247,19 +183,20 @@ func (a *Analyzer) sharedScore(k scoreKey, i int, compute func(i int) float64) f
 // dedupValidate is the dynamic stage's validation step with per-unique-body
 // profiling: the pool shape and outcome classification mirror
 // dynamic.ValidateParallel exactly, but each candidate's profiling is
-// single-flighted by content address, so a body duplicated across cells and
-// images executes once per (CVE, step limit). Classification and its
-// counters stay per occurrence.
+// single-flighted by content address in the CVE's dedup table, so a body
+// duplicated across cells, images and — on a shared cache — jobs executes
+// once per (CVE, step limit). Classification and its counters stay per
+// occurrence.
 func (a *Analyzer) dedupValidate(ctx context.Context, p *PreparedImage, entry *vulndb.Entry,
 	cands []detector.Candidate, candFuncs []*disasm.Function, envs []*minic.Env, workers int) ([]int, map[int][]EnvProfile, map[int]error) {
 	if ctx == nil {
 		//patchecko:allow ctxflow nil-ctx API tolerance: Background is the documented fallback root
 		ctx = context.Background()
 	}
+	t := a.refcache().table(entry.ID, p.Image.Arch, a.StepLimit)
 	results := make([]dynamic.ProfileOutcome, len(cands))
 	run := func(i int) {
-		k := dynKey{cve: entry.ID, limit: a.StepLimit, fn: p.CAS[cands[i].Index]}
-		results[i] = a.sharedProfile(ctx, p.Dis, candFuncs[i], k, envs)
+		results[i] = a.sharedProfile(ctx, p.Dis, candFuncs[i], t.validation(p.CAS[cands[i].Index]), envs)
 	}
 	if workers > len(cands) {
 		workers = len(cands)
@@ -298,21 +235,21 @@ func (a *Analyzer) dedupValidate(ctx context.Context, p *PreparedImage, entry *v
 	return survivors, profiles, excluded
 }
 
-// sharedProfile profiles one candidate through the dedup cache. A cancelled
-// outcome (Ran false) carries no information and is never memoized — the
-// same rule the reference cache follows — so a later scan with a live
-// context retries.
-func (a *Analyzer) sharedProfile(ctx context.Context, dis *disasm.Disassembly, fn *disasm.Function, k dynKey, envs []*minic.Env) dynamic.ProfileOutcome {
-	e := a.dyn.entry(k)
+// sharedProfile profiles one candidate through its dedup-table row e. An
+// outcome the context cut short — cancelled (Ran false), or a deadline
+// that surfaced as a budget trap — carries no information about the body
+// and is never memoized, the same rule the reference cache follows, so a
+// later scan with a live context retries.
+func (a *Analyzer) sharedProfile(ctx context.Context, dis *disasm.Disassembly, fn *disasm.Function, e *dynEntry, envs []*minic.Env) dynamic.ProfileOutcome {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.done {
-		a.dyn.shared.Add(1)
+		a.consults.shared.Add(1)
 		a.Obs.Add(obs.CtrValidationsDeduped, 1)
 		return dynamic.ProfileOutcome{Profiles: e.eps, Err: e.err, Ran: true, Panicked: e.panicked}
 	}
 	r := dynamic.ProfileCandidate(ctx, dis, fn, envs, a.exec())
-	if !r.Ran {
+	if !r.Ran || ctx.Err() != nil {
 		return r
 	}
 	e.done, e.eps, e.err, e.panicked = true, r.Profiles, r.Err, r.Panicked

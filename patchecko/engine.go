@@ -14,7 +14,6 @@ package patchecko
 import (
 	"container/list"
 	"context"
-	"errors"
 	"runtime"
 	"slices"
 	"sync"
@@ -31,14 +30,21 @@ import (
 	"repro/internal/vulndb"
 )
 
-// refKey identifies one cached reference: a CVE's vulnerable or patched
-// version for one architecture under one execution step limit.
+// refKey identifies one reference-cache slot: a CVE's vulnerable or
+// patched reference for one architecture under one execution step limit,
+// or — with mode tableMode — that CVE's dedup table for the architecture
+// and step limit.
 type refKey struct {
 	cve   string
 	arch  string
 	mode  QueryMode
 	limit int64
 }
+
+// tableMode is the refKey mode of a dedup-table slot. Query modes start at
+// 1, so it never names a reference; the table itself is mode-independent
+// and keys its score rows by mode.
+const tableMode QueryMode = 0
 
 // refEntry holds the memoized reference work for one key under a mutex
 // (not a sync.Once): outcomes memoize permanently — including failures,
@@ -74,45 +80,113 @@ func (e *refEntry) resolveRefLocked(entry *vulndb.Entry, arch string, mode Query
 	return e.ref, e.refErr
 }
 
-// cacheItem pairs a cache key with its entry so LRU eviction can delete the
-// map slot from the recency list alone.
-type cacheItem struct {
-	key refKey
-	e   *refEntry
+// scoreKey identifies one static-score row of a dedup table: one query
+// mode against one function body.
+type scoreKey struct {
+	mode QueryMode
+	fn   cas.Addr
 }
 
-// RefCache memoizes per-CVE reference work (decoded references, first-layer
-// query halves, dynamic profiles) across images, query modes and goroutines.
-// Every Analyzer owns an unbounded private one; NewRefCache builds a bounded
-// process-wide instance that can be shared by many analyzers (the resident
-// scan service gives every concurrent job the same cache, so a CVE's
-// reference is profiled once per process, not once per job).
+// scoreEntry memoizes one static score under a mutex; holding the mutex
+// across the computation single-flights concurrent consults, exactly like
+// a reference entry.
+type scoreEntry struct {
+	mu    sync.Mutex
+	done  bool
+	score float64
+}
+
+// dynEntry memoizes one candidate-validation outcome under a single-flight
+// mutex.
+type dynEntry struct {
+	mu       sync.Mutex
+	done     bool
+	eps      []dynamic.EnvProfile
+	err      error
+	panicked bool
+}
+
+// dedupTable is one (CVE, arch, step limit)'s content-addressed dedup
+// rows: static scores keyed by (mode, body) and validation outcomes keyed
+// by body alone — environments depend only on the CVE, so vulnerable- and
+// patched-mode cells share one execution. It is a single reference-cache
+// slot, so the cache's bound covers it and evicting it drops all its rows;
+// its row count grows with the distinct bodies that reached the CVE.
+type dedupTable struct {
+	mu     sync.Mutex
+	scores map[scoreKey]*scoreEntry
+	dyn    map[cas.Addr]*dynEntry
+}
+
+func (t *dedupTable) score(k scoreKey) *scoreEntry {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.scores == nil {
+		t.scores = make(map[scoreKey]*scoreEntry)
+	}
+	e, ok := t.scores[k]
+	if !ok {
+		e = &scoreEntry{}
+		t.scores[k] = e
+	}
+	return e
+}
+
+func (t *dedupTable) validation(fn cas.Addr) *dynEntry {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.dyn == nil {
+		t.dyn = make(map[cas.Addr]*dynEntry)
+	}
+	e, ok := t.dyn[fn]
+	if !ok {
+		e = &dynEntry{}
+		t.dyn[fn] = e
+	}
+	return e
+}
+
+// cacheItem pairs a cache key with its slot so LRU eviction can delete the
+// map slot from the recency list alone. Exactly one of ref and tab is set,
+// by the key's mode.
+type cacheItem struct {
+	key refKey
+	ref *refEntry
+	tab *dedupTable
+}
+
+// RefCache memoizes per-CVE work across images, query modes, goroutines
+// and — when shared — analyzers: reference work (decoded references,
+// first-layer query halves, dynamic profiles) and the content-addressed
+// dedup tables (static scores and candidate validations per function
+// body). Every Analyzer owns an unbounded private one; NewRefCache builds a
+// bounded process-wide instance that can be shared by many analyzers of
+// one model and DB. The resident scan service gives every job the same
+// cache, so a CVE's reference is profiled once per process, not once per
+// job, and a firmware update executes only the bodies no earlier job ran.
 //
 // Eviction is least-recently-used and affects only work, never results:
-// reference work is deterministic in its inputs, so recomputing an evicted
-// entry reproduces it exactly. Entries checked out before eviction stay
-// valid — holders keep their pointer; the cache merely forgets the slot.
+// reference and dedup work is deterministic in its inputs, so recomputing
+// an evicted slot reproduces it exactly. Slots checked out before eviction
+// stay valid — holders keep their pointer; the cache merely forgets the
+// slot. The cache counts no consults: each analyzer counts its own.
 type RefCache struct {
 	mu      sync.Mutex
 	max     int
 	entries map[refKey]*list.Element
 	ll      *list.List // front = most recently used
-	// hits/misses count reference *profiling* consults (the expensive,
-	// per-CVE×mode work the cache exists to amortize). Exactly one miss is
-	// recorded per key — the consult that computed — so the counters are
-	// deterministic for any worker count (on a private cache; a shared
-	// cache's warmth legitimately varies across jobs).
-	hits   atomic.Int64
-	misses atomic.Int64
 }
 
 // NewRefCache returns a bounded reference cache holding at most maxEntries
-// (CVE, arch, mode, step-limit) entries; maxEntries <= 0 means unbounded.
+// slots — one per (CVE, arch, mode, step limit) reference plus one dedup
+// table per (CVE, arch, step limit); maxEntries <= 0 means unbounded.
 func NewRefCache(maxEntries int) *RefCache {
 	return &RefCache{max: maxEntries}
 }
 
-func (c *RefCache) entry(k refKey) *refEntry {
+// slot returns the item for k, creating it (and evicting past the bound)
+// on first sight, and marks it most recently used.
+func (c *RefCache) slot(k refKey) *cacheItem {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.entries == nil {
@@ -121,24 +195,37 @@ func (c *RefCache) entry(k refKey) *refEntry {
 	}
 	if el, ok := c.entries[k]; ok {
 		c.ll.MoveToFront(el)
-		return el.Value.(*cacheItem).e
+		return el.Value.(*cacheItem)
 	}
-	e := &refEntry{}
-	c.entries[k] = c.ll.PushFront(&cacheItem{key: k, e: e})
+	it := &cacheItem{key: k}
+	if k.mode == tableMode {
+		it.tab = &dedupTable{}
+	} else {
+		it.ref = &refEntry{}
+	}
+	c.entries[k] = c.ll.PushFront(it)
 	for c.max > 0 && len(c.entries) > c.max {
 		back := c.ll.Back()
 		c.ll.Remove(back)
 		delete(c.entries, back.Value.(*cacheItem).key)
 	}
-	return e
+	return it
 }
 
-// InvalidateCVE drops every cached entry for the CVE, forcing the next
-// consult to recompute. The scan service calls it before retrying a job
-// whose ScanErrors named the CVE: failures memoize permanently (they are
-// deterministic for a fixed environment), so a transient fault — an injected
-// chaos fault, a since-fixed reference file — must be evicted explicitly for
-// a retry to observe the recovered state.
+func (c *RefCache) entry(k refKey) *refEntry { return c.slot(k).ref }
+
+// table returns the dedup table for (CVE, arch, step limit).
+func (c *RefCache) table(cve, arch string, limit int64) *dedupTable {
+	return c.slot(refKey{cve: cve, arch: arch, mode: tableMode, limit: limit}).tab
+}
+
+// InvalidateCVE drops every cached slot for the CVE — its references and
+// its dedup tables with all their score and validation rows — forcing the
+// next consult to recompute. The scan service calls it before retrying a
+// job whose ScanErrors named the CVE: failures memoize permanently (they
+// are deterministic for a fixed environment), so a transient fault — an
+// injected chaos fault, a since-fixed reference file — must be evicted
+// explicitly for a retry to observe the recovered state.
 func (c *RefCache) InvalidateCVE(cveID string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -150,15 +237,11 @@ func (c *RefCache) InvalidateCVE(cveID string) {
 	}
 }
 
-// Len returns the number of cached entries.
+// Len returns the number of cached slots, dedup tables included.
 func (c *RefCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.entries)
-}
-
-func (c *RefCache) counts() (hits, misses int64) {
-	return c.hits.Load(), c.misses.Load()
 }
 
 // refcache returns the cache reference work goes through: the process-wide
@@ -202,28 +285,30 @@ func (a *Analyzer) cachedQueryHalves(entry *vulndb.Entry, arch string, mode Quer
 // cachedRefProfiles returns the reference's per-environment dynamic
 // profiles, executing the reference once per (CVE, arch, mode, step limit)
 // for the analyzer's lifetime. References must run every environment to
-// completion; a trapping reference is a memoized failure. A cancelled
-// profiling run is returned but NOT memoized, so a later scan with a live
+// completion; a trapping reference is a memoized failure. A run its
+// context ended is returned but NOT memoized, so a later scan with a live
 // context retries instead of inheriting the stale cancellation. The caller
 // must not mutate the returned slice; ScanImage copies it before publishing
 // on a CVEScan.
 func (a *Analyzer) cachedRefProfiles(ctx context.Context, entry *vulndb.Entry, arch string, mode QueryMode, envs []*minic.Env) ([]dynamic.Profile, error) {
-	c := a.refcache()
-	e := c.entry(refKey{cve: entry.ID, arch: arch, mode: mode, limit: a.StepLimit})
+	e := a.refcache().entry(refKey{cve: entry.ID, arch: arch, mode: mode, limit: a.StepLimit})
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.profDone {
-		c.hits.Add(1)
+		a.consults.refHits.Add(1)
 		return e.profiles, e.profErr
 	}
-	c.misses.Add(1)
+	a.consults.refMisses.Add(1)
 	ref, err := e.resolveRefLocked(entry, arch, mode)
 	if err != nil {
 		e.profDone, e.profErr = true, err
 		return nil, err
 	}
 	profiles, err := profileReference(ctx, ref, envs, a.exec())
-	if err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
+	if err != nil && ctx.Err() != nil {
+		// The context ended the run. Its deadline can surface as a budget
+		// trap inside an execution rather than as a context error, so the
+		// context decides: nothing it cut short is memoized.
 		return nil, err
 	}
 	e.profDone, e.profiles, e.profErr = true, profiles, err
@@ -462,7 +547,7 @@ func (a *Analyzer) ScanFirmware(ctx context.Context, fw *Firmware) (*Report, err
 		validateWorkers = 1
 	}
 
-	hits0, misses0 := a.refcache().counts()
+	hits0, misses0 := a.consults.refHits.Load(), a.consults.refMisses.Load()
 	dedup0 := a.DedupCounts()
 	scanWatch := obs.StartStopwatch()
 	// Component-identification prefilter: a sequential pass deciding which
@@ -621,7 +706,7 @@ func (a *Analyzer) ScanFirmware(ctx context.Context, fw *Firmware) (*Report, err
 			})
 		}
 	}
-	hits1, misses1 := a.refcache().counts()
+	hits1, misses1 := a.consults.refHits.Load(), a.consults.refMisses.Load()
 	dedup1 := a.DedupCounts()
 	stats.Workers = workers
 	stats.Images = len(prepared)

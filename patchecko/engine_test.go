@@ -346,7 +346,7 @@ func TestConcurrentScansShareReferenceCache(t *testing.T) {
 	// Single-flight: one CVE on one arch touches at most three profile
 	// keys (query + differential vuln/patched), no matter how many
 	// concurrent scans consulted them.
-	if _, misses := an.cache.counts(); misses > 3 {
+	if misses := an.consults.refMisses.Load(); misses > 3 {
 		t.Errorf("%d cache misses for one CVE, want <= 3 (single-flight broken)", misses)
 	}
 }

@@ -174,10 +174,12 @@ type Analyzer struct {
 	// Dedup — on by default via NewAnalyzer — shares per-function work by
 	// content address: each unique function body is statically scored once
 	// per CVE×mode and dynamically validated once per CVE×step-limit, with
-	// the result reused for every duplicate across all images the analyzer
-	// scans. Reports are byte-identical with dedup on or off; only work is
-	// saved. Turn it off to force the reference every-pair path (the
-	// equivalence suites compare both).
+	// the result reused for every duplicate across all images scanned
+	// through the analyzer's reference cache — its own, or SharedCache,
+	// whose dedup tables every analyzer on it reads and fills. Reports are
+	// byte-identical with dedup on or off; only work is saved. Turn it off
+	// to force the reference every-pair path (the equivalence suites
+	// compare both).
 	Dedup bool
 	// Store, when non-nil and Dedup is on, persists static scores by content
 	// address across analyzer lifetimes — the delta-scan path: rescanning a
@@ -187,10 +189,14 @@ type Analyzer struct {
 	Store *cas.Store
 	// SharedCache, when non-nil, replaces the analyzer's private reference
 	// cache with a process-wide (usually bounded, see NewRefCache) one so
-	// concurrent scans by different analyzers — the resident scan service's
-	// jobs — profile each CVE reference once per process. Results are
-	// byte-identical either way; only warmth (Stats.CacheHits/CacheMisses)
-	// varies, which Report.Normalize zeroes for comparisons.
+	// scans by different analyzers — the resident scan service's jobs —
+	// profile each CVE reference once per process and share the dedup
+	// tables: a later job scores and executes only the function bodies no
+	// earlier job did. Every analyzer on one cache must use the same model
+	// and DB. Results are byte-identical either way; only warmth varies
+	// (Stats.CacheHits/CacheMisses and the dedup counters, which count this
+	// analyzer's own consults and which Report.Normalize zeroes for
+	// comparisons).
 	SharedCache *RefCache
 	// Prefilter — on by default via NewAnalyzer — runs the component-
 	// identification prefilter (internal/compid) before ScanFirmware
@@ -215,14 +221,11 @@ type Analyzer struct {
 	// instead of none.
 	StaticOnly bool
 
-	// cache memoizes per-CVE reference work (decoded references and their
-	// dynamic profiles) across images, query modes and goroutines.
+	// cache is the private RefCache used when SharedCache is nil: per-CVE
+	// reference work and, when Dedup is on, the dedup tables.
 	cache RefCache
-	// scores and dyn memoize per-unique-function work (static scores and
-	// validation outcomes) across images, cells and goroutines when Dedup
-	// is on.
-	scores scoreCache
-	dyn    dynCache
+	// consults counts this analyzer's own cache and dedup-table consults.
+	consults consultCounts
 	// sigs memoizes per-(CVE, arch) component signatures for the prefilter;
 	// nil entries memoize failed derivations (degrade, never prune blindly).
 	sigMu sync.Mutex

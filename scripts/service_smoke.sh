@@ -3,7 +3,10 @@
 # client, regenerate the seed-42 tiny fixture, serve it through patcheckod,
 # and require the served normalized Report to be byte-identical to the
 # committed golden report — the same bytes the CLI scan and the golden test
-# suite pin. Run from the repo root; CI runs this as the service-smoke job.
+# suite pin. The firmware is then submitted a second time: that job is
+# served from the dedup tables the first job left in the daemon's shared
+# cache, and its report must be the same bytes too. Run from the repo root;
+# CI runs this as the service-smoke job.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -70,9 +73,18 @@ if ! cmp "$work/report.json" patchecko/testdata/golden_report_seed42.json; then
     exit 1
 fi
 
+echo "==> resubmitting thingos-1.0 (served from the shared dedup tables)"
+"$work/patcheckoctl" submit -addr "http://$addr" \
+    -dir "$work/corpus/thingos-1.0" -device thingos-1.0 -arch xarm32 \
+    -normalize -out "$work/report2.json"
+if ! cmp "$work/report2.json" patchecko/testdata/golden_report_seed42.json; then
+    echo "FAIL: rescan report diverges from patchecko/testdata/golden_report_seed42.json" >&2
+    exit 1
+fi
+
 echo "==> checking /metrics"
 metrics="$("$work/patcheckoctl" metrics -addr "http://$addr")"
-for want in '"jobs_admitted":1' '"jobs_completed":1'; do
+for want in '"jobs_admitted":2' '"jobs_completed":2'; do
     case "$metrics" in
     *"$want"*) ;;
     *)
@@ -83,4 +95,4 @@ for want in '"jobs_admitted":1' '"jobs_completed":1'; do
     esac
 done
 
-echo "PASS: served scan is byte-identical to the committed golden report"
+echo "PASS: served scan and rescan are byte-identical to the committed golden report"
