@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-static fuzz-smoke cover experiments service-smoke lint
+.PHONY: build test race bench bench-static bench-emu fuzz-smoke cover experiments service-smoke lint
 
 build:
 	$(GO) build ./...
@@ -44,6 +44,12 @@ bench-static:
 	PATCHECKO_BENCH_OUT=$(CURDIR)/BENCH_static.json $(GO) test ./internal/detector/ -run TestWriteStaticBenchArtifact -count=1 -v
 	PATCHECKO_BENCH_OUT=$(CURDIR)/BENCH_static.json $(GO) test ./patchecko/ -run TestWritePrefilterBenchArtifact -count=1 -v
 
+# Measure the emulator on every BenchmarkExecute case and architecture and
+# refresh BENCH_emu.json (ns/op, instrs/s, B/op). Fails if any case
+# allocates more per execution than its pinned ceiling.
+bench-emu:
+	PATCHECKO_BENCH_OUT=$(CURDIR)/BENCH_emu.json $(GO) test ./internal/emu/ -run TestWriteEmuBenchArtifact -count=1 -v
+
 # Short fuzzing pass over every fuzz target, seeded from the checked-in
 # corpora under testdata/fuzz. Ten seconds each is enough to exercise the
 # mutator against the structural invariants; longer local runs just raise
@@ -60,10 +66,11 @@ fuzz-smoke:
 
 # Statement-coverage floor for the packages the observability layer leans
 # on hardest: the metrics/trace layer itself, the static-stage scorer, the
-# scan engine, and the content-address/delta-store layer. The floor is
+# scan engine, the content-address/delta-store layer, and the emulator with
+# the disassembly its predecoded links come from. The floor is
 # asserted per package, so a regression in one cannot hide behind the
 # others. CI runs this.
-COVER_PKGS  = ./internal/obs/ ./internal/detector/ ./patchecko/ ./internal/cas/ ./internal/compid/
+COVER_PKGS  = ./internal/obs/ ./internal/detector/ ./patchecko/ ./internal/cas/ ./internal/compid/ ./internal/emu/ ./internal/disasm/
 COVER_FLOOR = 70
 cover:
 	@set -e; for pkg in $(COVER_PKGS); do \

@@ -10,6 +10,7 @@ package disasm
 import (
 	"bytes"
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/binimg"
 	"repro/internal/isa"
@@ -54,12 +55,74 @@ type Function struct {
 	Blocks []Block
 
 	offToIdx map[int]int
+	links    atomic.Pointer[Links] // built by Disassembly.Links on first execution
 }
 
 // IndexAtOffset resolves a branch byte offset to an instruction index.
 func (f *Function) IndexAtOffset(off int) (int, bool) {
 	i, ok := f.offToIdx[off]
 	return i, ok
+}
+
+// Links are a function's control transfers resolved for execution: the
+// instruction index each branch lands on and the function each direct call
+// enters. An emulator follows them per taken branch and per call, where an
+// offset or address map lookup would cost a hash each time.
+type Links struct {
+	dis *Disassembly // the disassembly calls were resolved against
+	// targets holds, per instruction, the target's instruction index for a
+	// branch and the callee's slot in callees for a Call; -1 marks a branch
+	// into the middle of an instruction, a call to an address hosting no
+	// function, and every other op.
+	targets []int32
+	callees []*Function
+}
+
+// BranchTarget returns the index of the instruction the branch at
+// instruction i lands on, or false when its offset is not an instruction
+// boundary.
+func (l *Links) BranchTarget(i int) (int, bool) {
+	t := l.targets[i]
+	return int(t), t >= 0
+}
+
+// Callee returns the function the Call at instruction i enters, or false
+// when its address hosts no function.
+func (l *Links) Callee(i int) (*Function, bool) {
+	t := l.targets[i]
+	if t < 0 {
+		return nil, false
+	}
+	return l.callees[t], true
+}
+
+// Links returns f's links with calls resolved through d.FuncAt. They are
+// built the first time f executes and cached on f, so functions that never
+// execute cost nothing; the cache remembers d, and executing f under another
+// disassembly rebuilds it. Safe for concurrent use: racing builders produce
+// identical tables and the last store wins.
+func (d *Disassembly) Links(f *Function) *Links {
+	if l := f.links.Load(); l != nil && l.dis == d {
+		return l
+	}
+	l := &Links{dis: d, targets: make([]int32, len(f.Instrs))}
+	for i, in := range f.Instrs {
+		t := -1
+		switch {
+		case in.Op.IsBranch():
+			if idx, ok := f.IndexAtOffset(int(in.Imm)); ok {
+				t = idx
+			}
+		case in.Op == isa.Call:
+			if callee, ok := d.FuncAt(uint64(in.Imm)); ok {
+				t = len(l.callees)
+				l.callees = append(l.callees, callee)
+			}
+		}
+		l.targets[i] = int32(t)
+	}
+	f.links.Store(l)
+	return l
 }
 
 // ByteSize returns the total size of basic block b in bytes.

@@ -220,3 +220,72 @@ func TestDumpListing(t *testing.T) {
 		t.Error("stripped listing lacks synthetic sub_ names")
 	}
 }
+
+// TestLinksResolveLikeTheMaps checks the predecoded links against the
+// offset and address maps they stand in for: every branch resolves as
+// IndexAtOffset does and every Call as FuncAt does; a function built by
+// hand, with neither map, resolves nothing; the table is built once per
+// function; and a second disassembly executing the same function resolves
+// calls into its own functions, not the first one's.
+func TestLinksResolveLikeTheMaps(t *testing.T) {
+	mod := testModule()
+	for _, arch := range isa.All() {
+		im := compile(t, mod, arch, compiler.O2)
+		dis, err := Disassemble(im)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var caller *Function
+		for _, f := range dis.Funcs {
+			l := dis.Links(f)
+			if dis.Links(f) != l {
+				t.Fatalf("%s %s: links rebuilt on second use", arch.Name, f.Name)
+			}
+			for i, in := range f.Instrs {
+				switch {
+				case in.Op.IsBranch():
+					want, wantOK := f.IndexAtOffset(int(in.Imm))
+					if got, ok := l.BranchTarget(i); ok != wantOK || got != want && ok {
+						t.Errorf("%s %s: branch %d -> %d,%v, want %d,%v", arch.Name, f.Name, i, got, ok, want, wantOK)
+					}
+				case in.Op == isa.Call:
+					caller = f
+					want, wantOK := dis.FuncAt(uint64(in.Imm))
+					if got, ok := l.Callee(i); ok != wantOK || got != want {
+						t.Errorf("%s %s: call %d -> %v,%v, want %v,%v", arch.Name, f.Name, i, got, ok, want, wantOK)
+					}
+				}
+			}
+		}
+		if caller == nil {
+			t.Fatalf("%s: test module makes no calls", arch.Name)
+		}
+		again, err := Disassemble(im)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := again.Links(caller)
+		for i, in := range caller.Instrs {
+			if in.Op != isa.Call {
+				continue
+			}
+			want, _ := again.FuncAt(uint64(in.Imm))
+			if got, _ := l.Callee(i); got != want {
+				t.Errorf("%s: second disassembly's call %d resolved to %p, want its own %p", arch.Name, i, got, want)
+			}
+		}
+	}
+
+	f := &Function{Instrs: []DInstr{
+		{Instr: isa.Instr{Op: isa.Jmp, Imm: 0}},
+		{Instr: isa.Instr{Op: isa.Call, Imm: int64(binimg.TextBase)}},
+	}}
+	bare := &Disassembly{Funcs: []*Function{f}}
+	l := bare.Links(f)
+	if _, ok := l.BranchTarget(0); ok {
+		t.Error("branch resolved without an offset map")
+	}
+	if _, ok := l.Callee(1); ok {
+		t.Error("call resolved without an address map")
+	}
+}

@@ -1,6 +1,8 @@
 package emu
 
 import (
+	"encoding/json"
+	"os"
 	"testing"
 
 	"repro/internal/compiler"
@@ -9,14 +11,23 @@ import (
 	"repro/internal/minic"
 )
 
-// BenchmarkExecute measures emulated instructions per second and the
-// per-execution allocation on a memory-heavy checksum loop (the pipeline's
-// dominant dynamic-stage cost). The short case runs about 1.3k instructions,
-// the size of a typical candidate execution, so its B/op is the fixed
-// per-execution cost; the long case runs 4096 iterations and measures the
-// hot loop.
-func BenchmarkExecute(b *testing.B) {
-	mod := &minic.Module{Name: "b", Funcs: []*minic.Func{
+// execBenchCase is one BenchmarkExecute workload: hot(p, n) in mod, run
+// with p at the data region and n = iters.
+type execBenchCase struct {
+	name  string
+	mod   *minic.Module
+	iters int64
+}
+
+// execBenchCases are BenchmarkExecute's workloads. short and loop4096 run
+// a memory-heavy checksum loop (the pipeline's dominant dynamic-stage
+// cost): short runs about 1.3k instructions, the size of a typical
+// candidate execution, so its B/op is the fixed per-execution cost;
+// loop4096 runs 4096 iterations and measures the hot loop. calls runs a
+// similar loop whose every iteration recurses four frames deep, so calls,
+// returns and the per-frame bookkeeping are measured too.
+func execBenchCases() []execBenchCase {
+	checksum := &minic.Module{Name: "b", Funcs: []*minic.Func{
 		minic.NewFunc("hot", []string{"p", "n"},
 			minic.Set("s", minic.I(0)),
 			minic.Set("i", minic.I(0)),
@@ -26,36 +37,133 @@ func BenchmarkExecute(b *testing.B) {
 				minic.Set("i", minic.Add(minic.V("i"), minic.I(1)))),
 			minic.Ret(minic.V("s"))),
 	}}
-	for _, size := range []struct {
-		name  string
-		iters int64
-	}{{"short", 64}, {"loop4096", 4096}} {
+	calls := &minic.Module{Name: "c", Funcs: []*minic.Func{
+		minic.NewFunc("hot", []string{"p", "n"},
+			minic.Set("s", minic.I(0)),
+			minic.Set("i", minic.I(0)),
+			minic.Loop(minic.Lt(minic.V("i"), minic.V("n")),
+				minic.Set("s", minic.Xor(minic.Shl(minic.V("s"), minic.I(3)),
+					minic.Call("dive", minic.V("p"), minic.V("i"), minic.I(3)))),
+				minic.Set("i", minic.Add(minic.V("i"), minic.I(1)))),
+			minic.Ret(minic.V("s"))),
+		minic.NewFunc("dive", []string{"p", "i", "d"},
+			minic.When(minic.Gt(minic.V("d"), minic.I(0)),
+				minic.Ret(minic.Add(minic.I(1),
+					minic.Call("dive", minic.V("p"), minic.V("i"), minic.Sub(minic.V("d"), minic.I(1)))))),
+			minic.Ret(minic.Ld(minic.V("p"), minic.And(minic.V("i"), minic.I(255))))),
+	}}
+	return []execBenchCase{
+		{"short", checksum, 64},
+		{"loop4096", checksum, 4096},
+		{"calls", calls, 16},
+	}
+}
+
+// BenchmarkExecute measures emulated instructions per second and the
+// per-execution allocation of every workload on every architecture.
+func BenchmarkExecute(b *testing.B) {
+	for _, c := range execBenchCases() {
 		for _, arch := range isa.All() {
-			b.Run(size.name+"/"+arch.Name, func(b *testing.B) {
-				im, err := compiler.Compile(mod, arch, compiler.O2)
-				if err != nil {
-					b.Fatal(err)
-				}
-				dis, err := disasm.Disassemble(im)
-				if err != nil {
-					b.Fatal(err)
-				}
-				fn, _ := dis.Lookup("hot")
-				env := &minic.Env{Args: []int64{minic.DataBase, size.iters}, Data: make([]byte, 256)}
-				res, err := Execute(dis, fn, env, 1<<22)
-				if err != nil {
-					b.Fatal(err)
-				}
-				perIter := res.Trace.Instrs
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := Execute(dis, fn, env, 1<<22); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(float64(perIter)*float64(b.N)/b.Elapsed().Seconds(), "instrs/s")
-			})
+			b.Run(c.name+"/"+arch.Name, func(b *testing.B) { benchExecute(b, c, arch) })
 		}
+	}
+}
+
+func benchExecute(b *testing.B, c execBenchCase, arch *isa.Arch) {
+	im, err := compiler.Compile(c.mod, arch, compiler.O2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dis, err := disasm.Disassemble(im)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fn, _ := dis.Lookup("hot")
+	env := &minic.Env{Args: []int64{minic.DataBase, c.iters}, Data: make([]byte, 256)}
+	res, err := Execute(dis, fn, env, 1<<22)
+	if err != nil {
+		b.Fatal(err)
+	}
+	perIter := res.Trace.Instrs
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Execute(dis, fn, env, 1<<22); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(perIter), "instrs/op")
+	b.ReportMetric(float64(perIter)*float64(b.N)/b.Elapsed().Seconds(), "instrs/s")
+}
+
+// maxBytesPerExec is each case's allocation per execution before the
+// predecoded dispatch and word-granular memory, which were required to add
+// no per-execution state: the machine, its page tables, the pages an
+// execution touches, the trace and, for calls, the frame stack and one
+// count slice per function. No case may rise above it.
+var maxBytesPerExec = map[string]int64{
+	"short/xarm32": 13568, "short/xarm64": 13568, "short/x86": 13568, "short/amd64": 13568,
+	"loop4096/xarm32": 13568, "loop4096/xarm64": 13568, "loop4096/x86": 13568, "loop4096/amd64": 13568,
+	"calls/xarm32": 14176, "calls/xarm64": 14176, "calls/x86": 14112, "calls/amd64": 14176,
+}
+
+type emuBenchRow struct {
+	Case          string  `json:"case"`
+	Arch          string  `json:"arch"`
+	InstrsPerOp   int64   `json:"instrs_per_op"`
+	NsPerOp       float64 `json:"ns_per_op"`
+	InstrsPerSec  float64 `json:"instrs_per_sec"`
+	BytesPerOp    int64   `json:"bytes_per_op"`
+	MaxBytesPerOp int64   `json:"max_bytes_per_op"`
+	AllocsPerOp   int64   `json:"allocs_per_op"`
+}
+
+type emuBenchArtifact struct {
+	Benchmark string        `json:"benchmark"`
+	Rows      []emuBenchRow `json:"rows"`
+}
+
+// TestWriteEmuBenchArtifact runs every BenchmarkExecute case and writes
+// BENCH_emu.json to the path in PATCHECKO_BENCH_OUT. Skipped when the
+// variable is unset, so `go test` stays fast; `make bench-emu` opts in. It
+// fails if any case allocates more per execution than its maxBytesPerExec.
+func TestWriteEmuBenchArtifact(t *testing.T) {
+	out := os.Getenv("PATCHECKO_BENCH_OUT")
+	if out == "" {
+		t.Skip("PATCHECKO_BENCH_OUT not set")
+	}
+	art := emuBenchArtifact{Benchmark: "internal/emu Execute: one function invocation per op, compiled at O2"}
+	for _, c := range execBenchCases() {
+		for _, arch := range isa.All() {
+			r := testing.Benchmark(func(b *testing.B) { benchExecute(b, c, arch) })
+			ceiling, ok := maxBytesPerExec[c.name+"/"+arch.Name]
+			if !ok {
+				t.Fatalf("no allocation ceiling for %s/%s", c.name, arch.Name)
+			}
+			row := emuBenchRow{
+				Case:          c.name,
+				Arch:          arch.Name,
+				InstrsPerOp:   int64(r.Extra["instrs/op"]),
+				NsPerOp:       float64(r.T.Nanoseconds()) / float64(r.N),
+				InstrsPerSec:  r.Extra["instrs/s"],
+				BytesPerOp:    r.AllocedBytesPerOp(),
+				MaxBytesPerOp: ceiling,
+				AllocsPerOp:   r.AllocsPerOp(),
+			}
+			art.Rows = append(art.Rows, row)
+			t.Logf("%s/%s: %d instrs, %.0f ns/op, %.1f M instrs/s, %d B/op",
+				row.Case, row.Arch, row.InstrsPerOp, row.NsPerOp, row.InstrsPerSec/1e6, row.BytesPerOp)
+			if row.BytesPerOp > ceiling {
+				t.Errorf("%s/%s allocates %d B per execution, above its %d B ceiling",
+					row.Case, row.Arch, row.BytesPerOp, ceiling)
+			}
+		}
+	}
+	raw, err := json.MarshalIndent(art, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(out, append(raw, '\n'), 0o644); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -12,6 +12,7 @@ package emu
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -58,10 +59,12 @@ const (
 type Trace struct {
 	BinaryFunCalls int64 // F1
 
+	// Call-stack depth over executed instructions. The sums are integers,
+	// so they stay exact however the machine batches them.
 	stackDepthMin  int64
 	stackDepthMax  int64
-	stackDepthSum  float64
-	stackDepthSum2 float64
+	stackDepthSum  int64
+	stackDepthSum2 int64
 
 	Instrs       int64 // F6
 	CallInstrs   int64 // F8
@@ -80,8 +83,8 @@ type Trace struct {
 	Syscalls int64 // F21
 
 	// funcs holds, for every function the execution entered, how often
-	// each of its instructions ran (indexed by instruction position). F7,
-	// F13, F14 and the executed-address set derive from these counts. A
+	// each of its instructions ran (indexed by instruction position). F7
+	// through F14 and the executed-address set derive from these counts. A
 	// count never exceeds the step limit (1<<20 by default), so int32 is
 	// ample.
 	funcs []funcCounts
@@ -144,8 +147,8 @@ func (t *Trace) StackDepthStats() (minD, maxD int64, mean, std float64) {
 	if t.Instrs == 0 {
 		return 0, 0, 0, 0
 	}
-	mean = t.stackDepthSum / float64(t.Instrs)
-	variance := t.stackDepthSum2/float64(t.Instrs) - mean*mean
+	mean = float64(t.stackDepthSum) / float64(t.Instrs)
+	variance := float64(t.stackDepthSum2)/float64(t.Instrs) - mean*mean
 	if variance < 0 {
 		variance = 0
 	}
@@ -154,18 +157,18 @@ func (t *Trace) StackDepthStats() (minD, maxD int64, mean, std float64) {
 
 // MaxBranchFreq is feature F13: the execution count of the hottest single
 // branch instruction.
-func (t *Trace) MaxBranchFreq() int64 { return t.maxFreq(isBranchOp) }
+func (t *Trace) MaxBranchFreq() int64 { return t.maxFreq(classBranch) }
 
 // MaxArithFreq is feature F14.
-func (t *Trace) MaxArithFreq() int64 { return t.maxFreq(isArithOp) }
+func (t *Trace) MaxArithFreq() int64 { return t.maxFreq(classArith) }
 
 // maxFreq is the highest execution count of any instruction whose op is in
 // the class.
-func (t *Trace) maxFreq(class func(isa.Op) bool) int64 {
+func (t *Trace) maxFreq(class uint8) int64 {
 	var best int64
 	for _, fc := range t.funcs {
 		for i, c := range fc.counts {
-			if int64(c) > best && class(fc.fn.Instrs[i].Op) {
+			if int64(c) > best && opClass[fc.fn.Instrs[i].Op] == class {
 				best = int64(c)
 			}
 		}
@@ -173,10 +176,37 @@ func (t *Trace) maxFreq(class func(isa.Op) bool) int64 {
 	return best
 }
 
-// isArithOp and isBranchOp are the F9/F14 and F10/F13 instruction classes.
-// An op is counted in at most one class, arithmetic first.
-func isArithOp(op isa.Op) bool  { return op.IsArith() || op.IsArithFP() }
-func isBranchOp(op isa.Op) bool { return !isArithOp(op) && op.IsBranch() }
+// Instruction classes of the Table II mix features. An op is in at most one
+// class, tested in this order.
+const (
+	classNone   uint8 = iota
+	classArith        // F9, F14: integer and floating-point arithmetic
+	classBranch       // F10, F13
+	classCall         // F8
+	classLoad         // F11
+	classStore        // F12
+	numClasses
+)
+
+// opClass is every op's class. The F8-F12 totals and the F13/F14 scans
+// both read it, so they cannot disagree.
+var opClass = func() (t [256]uint8) {
+	for i := range t {
+		switch op := isa.Op(i); {
+		case op.IsArith() || op.IsArithFP():
+			t[i] = classArith
+		case op.IsBranch():
+			t[i] = classBranch
+		case op.IsCall():
+			t[i] = classCall
+		case op.IsLoad():
+			t[i] = classLoad
+		case op.IsStore():
+			t[i] = classStore
+		}
+	}
+	return t
+}()
 
 // Vector flattens the trace into the 21-dimensional dynamic feature vector
 // in Table II order.
@@ -280,24 +310,25 @@ func (m *taggedMem) region(addr int64) (Region, []*page, int64) {
 	return RegionOther, nil, 0
 }
 
-func (m *taggedMem) count(r Region) {
+// count adds n accesses to region r's counter.
+func (m *taggedMem) count(r Region, n int64) {
 	switch r {
 	case RegionStack:
-		m.trace.StackAccess++
+		m.trace.StackAccess += n
 	case RegionHeap:
-		m.trace.HeapAccess++
+		m.trace.HeapAccess += n
 	case RegionLib:
-		m.trace.LibAccess++
+		m.trace.LibAccess += n
 	case RegionAnon:
-		m.trace.AnonAccess++
+		m.trace.AnonAccess += n
 	default:
-		m.trace.OthersAccess++
+		m.trace.OthersAccess += n
 	}
 }
 
 func (m *taggedMem) LoadByte(addr int64) (byte, error) {
 	r, pages, off := m.region(addr)
-	m.count(r)
+	m.count(r, 1)
 	switch r {
 	case RegionOther:
 		return 0, &minic.TrapError{Kind: minic.TrapOOB, Addr: addr}
@@ -316,13 +347,51 @@ func (m *taggedMem) StoreByte(addr int64, v byte) error {
 		m.trace.OthersAccess++
 		return &minic.TrapError{Kind: minic.TrapOOB, Addr: addr}
 	}
-	m.count(r)
+	m.count(r, 1)
 	p := pages[off>>pageShift]
 	if p == nil {
 		p = new(page)
 		pages[off>>pageShift] = p
 	}
 	p[off&pageMask] = v
+	return nil
+}
+
+// loadWord reads the little-endian word at addr. A word inside one page of
+// one region (or inside rodata) is read in one access and counts 8 region
+// accesses; any other word, one that crosses a page or region edge or
+// traps, takes minic.LoadWord's byte-wise path, whose counts and trap
+// address are the reference.
+func (m *taggedMem) loadWord(addr int64) (int64, error) {
+	r, pages, off := m.region(addr)
+	switch {
+	case pages != nil && off&pageMask <= pageSize-8:
+		m.count(r, 8)
+		if p := pages[off>>pageShift]; p != nil {
+			return int64(binary.LittleEndian.Uint64(p[off&pageMask:])), nil
+		}
+		return 0, nil
+	case r == RegionLib && off+8 <= int64(len(m.rodata)):
+		m.trace.LibAccess += 8
+		return int64(binary.LittleEndian.Uint64(m.rodata[off:])), nil
+	}
+	return minic.LoadWord(m, addr)
+}
+
+// storeWord writes v little-endian at addr: in one access when the word
+// lies inside one page of a writable region, byte-wise otherwise.
+func (m *taggedMem) storeWord(addr, v int64) error {
+	r, pages, off := m.region(addr)
+	if pages == nil || off&pageMask > pageSize-8 {
+		return minic.StoreWord(m, addr, v)
+	}
+	m.count(r, 8)
+	p := pages[off>>pageShift]
+	if p == nil {
+		p = new(page)
+		pages[off>>pageShift] = p
+	}
+	binary.LittleEndian.PutUint64(p[off&pageMask:], uint64(v))
 	return nil
 }
 
@@ -343,14 +412,20 @@ type Machine struct {
 	args  [16]int64 // builtin argument buffer
 	flagL int64
 	flagR int64
-	bst   *minic.BuiltinState
+	bst   minic.BuiltinState // held by value: one allocation fewer per execution
 	trace *Trace
 	limit int64
+	spReg int // the stack pointer's register number
 
 	fn     *disasm.Function
-	counts []int32 // fn's execution counts, indexed like fn.Instrs
+	links  *disasm.Links // fn's branch targets and callees
+	counts []int32       // fn's execution counts, indexed like fn.Instrs
 	pc     int
 	frames []frame
+
+	// depthSteps counts the instructions run at the current call depth;
+	// flushDepth hands them to the trace whenever the depth changes.
+	depthSteps int64
 }
 
 // Execute runs fn under env, with the given instruction budget
@@ -386,6 +461,20 @@ func ExecuteCtx(ctx context.Context, dis *disasm.Disassembly, fn *disasm.Functio
 // accounting is a handful of atomic adds per execution, off the per-step
 // hot loop.
 func ExecuteObserved(ctx context.Context, dis *disasm.Disassembly, fn *disasm.Function, env *minic.Env, limit int64, o *obs.Metrics) (*Result, error) {
+	m := newMachine(ctx, dis, fn, env, limit)
+	if err := faultinject.Fire(faultinject.ExecTrap, dis.Image.LibName+":"+fn.Name); err != nil {
+		observeExec(o, m.trace, err)
+		return &Result{Trace: m.trace, data: m.mem.data}, err
+	}
+	// On a trap the result is partial: the trace up to the fault is the
+	// truncated profile the fault-tolerant dynamic stage ranks with.
+	err := m.run()
+	observeExec(o, m.trace, err)
+	return &Result{Ret: m.regs[0], Trace: m.trace, data: m.mem.data}, err
+}
+
+// newMachine sets up fn's invocation under env, ready to run.
+func newMachine(ctx context.Context, dis *disasm.Disassembly, fn *disasm.Function, env *minic.Env, limit int64) *Machine {
 	if limit <= 0 {
 		limit = DefaultStepLimit
 	}
@@ -397,10 +486,12 @@ func ExecuteObserved(ctx context.Context, dis *disasm.Disassembly, fn *disasm.Fu
 		ctx:    ctx,
 		dis:    dis,
 		mem:    taggedMem{rodata: dis.Image.Rodata, trace: tr},
-		bst:    minic.NewBuiltinState(),
+		bst:    *minic.NewBuiltinState(),
 		trace:  tr,
 		limit:  limit,
+		spReg:  dis.Arch.NumRegs - 1,
 		fn:     fn,
+		links:  dis.Links(fn),
 		counts: tr.countsFor(fn),
 	}
 	m.mem.loadData(env.Data)
@@ -410,19 +501,8 @@ func ExecuteObserved(ctx context.Context, dis *disasm.Disassembly, fn *disasm.Fu
 		}
 		m.regs[i] = a
 	}
-	m.regs[m.sp()] = StackTop
-	if err := faultinject.Fire(faultinject.ExecTrap, dis.Image.LibName+":"+fn.Name); err != nil {
-		observeExec(o, tr, err)
-		return &Result{Trace: tr, data: m.mem.data}, err
-	}
-	if err := m.run(); err != nil {
-		observeExec(o, tr, err)
-		// Partial result: the trace up to the fault is the truncated
-		// profile the fault-tolerant dynamic stage ranks with.
-		return &Result{Ret: m.regs[0], Trace: tr, data: m.mem.data}, err
-	}
-	observeExec(o, tr, nil)
-	return &Result{Ret: m.regs[0], Trace: tr, data: m.mem.data}, nil
+	m.regs[m.spReg] = StackTop
+	return m
 }
 
 // observeExec records one execution's accounting: the execution itself, its
@@ -469,12 +549,32 @@ func trapCounter(k minic.TrapKind) (obs.Counter, bool) {
 	}
 }
 
-func (m *Machine) sp() int { return m.dis.Arch.NumRegs - 1 }
-func (m *Machine) fp() int { return m.dis.Arch.NumRegs - 2 }
-
+// run executes until the outermost function returns or the execution
+// traps, then completes the trace: the last depth run, and the F8-F12
+// instruction mix, which is each executed instruction's count summed by op
+// class. Every exit, trap or not, passes through here.
 func (m *Machine) run() error {
+	err := m.loop()
+	m.flushDepth()
+	var byClass [numClasses]int64
+	for _, fc := range m.trace.funcs {
+		for i, c := range fc.counts {
+			byClass[opClass[fc.fn.Instrs[i].Op]] += int64(c)
+		}
+	}
+	tr := m.trace
+	tr.ArithInstrs = byClass[classArith]
+	tr.BranchInstrs = byClass[classBranch]
+	tr.CallInstrs = byClass[classCall]
+	tr.LoadInstrs = byClass[classLoad]
+	tr.StoreInstrs = byClass[classStore]
+	return err
+}
+
+func (m *Machine) loop() error {
+	tr := m.trace
 	for {
-		if m.pc < 0 || m.pc >= len(m.fn.Instrs) {
+		if uint(m.pc) >= uint(len(m.fn.Instrs)) {
 			// The message deliberately omits the function's address: trap
 			// text must be relocation-invariant so identical function copies
 			// at different link addresses fail identically (the dedup
@@ -482,59 +582,66 @@ func (m *Machine) run() error {
 			return &minic.TrapError{Kind: minic.TrapDecode,
 				Msg: fmt.Sprintf("pc %d outside function", m.pc)}
 		}
-		in := m.fn.Instrs[m.pc]
+		in := &m.fn.Instrs[m.pc]
 
-		m.trace.Instrs++
-		if m.trace.Instrs > m.limit {
+		tr.Instrs++
+		if tr.Instrs > m.limit {
 			return &minic.TrapError{Kind: minic.TrapStepLimit}
 		}
-		if m.ctx != nil && m.trace.Instrs%watchdogStride == 0 {
-			select {
-			case <-m.ctx.Done():
-				if m.ctx.Err() == context.DeadlineExceeded {
-					return &minic.TrapError{Kind: minic.TrapBudget,
-						Msg: fmt.Sprintf("after %d instructions", m.trace.Instrs)}
-				}
-				return m.ctx.Err()
-			default:
+		if m.ctx != nil && tr.Instrs%watchdogStride == 0 {
+			if err := m.poll(); err != nil {
+				return err
 			}
 		}
 		m.counts[m.pc]++
-		depth := int64(len(m.frames)) + 1
-		if depth < m.trace.stackDepthMin {
-			m.trace.stackDepthMin = depth
-		}
-		if depth > m.trace.stackDepthMax {
-			m.trace.stackDepthMax = depth
-		}
-		m.trace.stackDepthSum += float64(depth)
-		m.trace.stackDepthSum2 += float64(depth) * float64(depth)
-		switch {
-		case isArithOp(in.Op):
-			m.trace.ArithInstrs++
-		case in.Op.IsBranch():
-			m.trace.BranchInstrs++
-		case in.Op.IsCall():
-			m.trace.CallInstrs++
-		case in.Op.IsLoad():
-			m.trace.LoadInstrs++
-		case in.Op.IsStore():
-			m.trace.StoreInstrs++
-		}
+		m.depthSteps++
 
-		done, err := m.step(in)
-		if err != nil {
+		if done, err := m.step(in); done || err != nil {
 			return err
-		}
-		if done {
-			return nil
 		}
 	}
 }
 
+// poll is the watchdog check: a TrapBudget trap once the deadline passed,
+// the context's error once it was cancelled.
+func (m *Machine) poll() error {
+	select {
+	case <-m.ctx.Done():
+		if m.ctx.Err() == context.DeadlineExceeded {
+			return &minic.TrapError{Kind: minic.TrapBudget,
+				Msg: fmt.Sprintf("after %d instructions", m.trace.Instrs)}
+		}
+		return m.ctx.Err()
+	default:
+		return nil
+	}
+}
+
+// flushDepth adds the instructions run at the current call depth to the
+// F2-F5 accumulators. It runs before every Call pushes a frame, before
+// every Ret pops one, and when run returns, so each instruction counts at
+// the depth it executed at.
+func (m *Machine) flushDepth() {
+	n := m.depthSteps
+	if n == 0 {
+		return
+	}
+	m.depthSteps = 0
+	d := int64(len(m.frames)) + 1
+	tr := m.trace
+	if d < tr.stackDepthMin {
+		tr.stackDepthMin = d
+	}
+	if d > tr.stackDepthMax {
+		tr.stackDepthMax = d
+	}
+	tr.stackDepthSum += d * n
+	tr.stackDepthSum2 += d * d * n
+}
+
 // step executes one instruction; it returns true when the outermost
 // function returned.
-func (m *Machine) step(in disasm.DInstr) (bool, error) {
+func (m *Machine) step(in *disasm.DInstr) (bool, error) {
 	next := m.pc + 1
 	switch op := in.Op; op {
 	case isa.Nop:
@@ -600,39 +707,39 @@ func (m *Machine) step(in disasm.DInstr) (bool, error) {
 			return false, err
 		}
 	case isa.Ldw:
-		v, err := minic.LoadWord(&m.mem, m.regs[in.Rs1]+in.Imm)
+		v, err := m.mem.loadWord(m.regs[in.Rs1] + in.Imm)
 		if err != nil {
 			return false, err
 		}
 		m.regs[in.Rd] = v
 	case isa.Stw:
-		if err := minic.StoreWord(&m.mem, m.regs[in.Rs1]+in.Imm, m.regs[in.Rs2]); err != nil {
+		if err := m.mem.storeWord(m.regs[in.Rs1]+in.Imm, m.regs[in.Rs2]); err != nil {
 			return false, err
 		}
 
 	case isa.Jmp:
-		return false, m.jump(int(in.Imm))
+		return false, m.jump(in)
 	case isa.Jz:
 		if m.regs[in.Rs1] == 0 {
-			return false, m.jump(int(in.Imm))
+			return false, m.jump(in)
 		}
 		m.pc = next
 		return false, nil
 	case isa.Jnz:
 		if m.regs[in.Rs1] != 0 {
-			return false, m.jump(int(in.Imm))
+			return false, m.jump(in)
 		}
 		m.pc = next
 		return false, nil
 	case isa.Je, isa.Jne, isa.Jl, isa.Jle, isa.Jg, isa.Jge:
 		if m.flagTaken(op) {
-			return false, m.jump(int(in.Imm))
+			return false, m.jump(in)
 		}
 		m.pc = next
 		return false, nil
 
 	case isa.Call:
-		callee, ok := m.dis.FuncAt(uint64(in.Imm))
+		callee, ok := m.links.Callee(m.pc)
 		if !ok {
 			return false, &minic.TrapError{Kind: minic.TrapBadCall,
 				Msg: fmt.Sprintf("call to unmapped address %#x", in.Imm)}
@@ -641,8 +748,10 @@ func (m *Machine) step(in disasm.DInstr) (bool, error) {
 			return false, &minic.TrapError{Kind: minic.TrapStack, Msg: "call stack overflow"}
 		}
 		m.trace.BinaryFunCalls++
+		m.flushDepth()
 		m.frames = append(m.frames, frame{fn: m.fn, counts: m.counts, pc: next})
 		m.fn, m.counts, m.pc = callee, m.trace.countsFor(callee), 0
+		m.links = m.dis.Links(callee)
 		return false, nil
 
 	case isa.CallI:
@@ -653,7 +762,7 @@ func (m *Machine) step(in disasm.DInstr) (bool, error) {
 		}
 		args := m.args[:b.NArgs]
 		copy(args, m.regs[:])
-		v, err := b.Fn(&m.mem, m.bst, args)
+		v, err := b.Fn(&m.mem, &m.bst, args)
 		if err != nil {
 			return false, err
 		}
@@ -668,33 +777,35 @@ func (m *Machine) step(in disasm.DInstr) (bool, error) {
 		if len(m.frames) == 0 {
 			return true, nil
 		}
+		m.flushDepth()
 		top := m.frames[len(m.frames)-1]
 		m.frames = m.frames[:len(m.frames)-1]
 		m.fn, m.counts, m.pc = top.fn, top.counts, top.pc
+		m.links = m.dis.Links(top.fn)
 		return false, nil
 
 	case isa.Push:
-		sp := m.regs[m.sp()] - 8
+		sp := m.regs[m.spReg] - 8
 		if sp < StackTop-StackSize {
 			return false, &minic.TrapError{Kind: minic.TrapStack, Msg: "stack overflow"}
 		}
-		m.regs[m.sp()] = sp
-		if err := minic.StoreWord(&m.mem, sp, m.regs[in.Rs1]); err != nil {
+		m.regs[m.spReg] = sp
+		if err := m.mem.storeWord(sp, m.regs[in.Rs1]); err != nil {
 			return false, err
 		}
 	case isa.Pop:
-		sp := m.regs[m.sp()]
+		sp := m.regs[m.spReg]
 		if sp >= StackTop {
 			return false, &minic.TrapError{Kind: minic.TrapStack, Msg: "stack underflow"}
 		}
-		v, err := minic.LoadWord(&m.mem, sp)
+		v, err := m.mem.loadWord(sp)
 		if err != nil {
 			return false, err
 		}
 		m.regs[in.Rd] = v
-		m.regs[m.sp()] = sp + 8
+		m.regs[m.spReg] = sp + 8
 	case isa.AddSp:
-		m.regs[m.sp()] += in.Imm
+		m.regs[m.spReg] += in.Imm
 
 	default:
 		return false, &minic.TrapError{Kind: minic.TrapDecode,
@@ -704,12 +815,12 @@ func (m *Machine) step(in disasm.DInstr) (bool, error) {
 	return false, nil
 }
 
-// jump resolves an intra-function byte offset.
-func (m *Machine) jump(off int) error {
-	idx, ok := m.fn.IndexAtOffset(off)
+// jump takes the branch at the current instruction through fn's links.
+func (m *Machine) jump(in *disasm.DInstr) error {
+	idx, ok := m.links.BranchTarget(m.pc)
 	if !ok {
 		return &minic.TrapError{Kind: minic.TrapDecode,
-			Msg: fmt.Sprintf("branch to mid-instruction offset %d", off)}
+			Msg: fmt.Sprintf("branch to mid-instruction offset %d", in.Imm)}
 	}
 	m.pc = idx
 	return nil

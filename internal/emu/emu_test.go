@@ -1,11 +1,15 @@
 package emu
 
 import (
+	"context"
 	"errors"
+	"math"
 	"testing"
+	"time"
 
 	"repro/internal/compiler"
 	"repro/internal/disasm"
+	"repro/internal/faultinject"
 	"repro/internal/isa"
 	"repro/internal/minic"
 )
@@ -94,6 +98,114 @@ func TestStackDepthTracking(t *testing.T) {
 	if res.Ret != 5 {
 		t.Errorf("ret = %d, want 5", res.Ret)
 	}
+}
+
+// TestStackDepthStatsOnEveryExit pins F2..F5 exactly on executions that
+// stop inside a call, where the machine's batched depth accounting must
+// still flush: a step-limit trap mid-recursion, a TrapStack at the frame
+// budget, a cancelled context, an expired deadline, an OOB trap in a callee,
+// an armed ExecTrap fault, and a clean return for contrast. The expected
+// values come from replaying each execution one instruction at a time and
+// sampling the depth before every instruction, as Table II defines it.
+func TestStackDepthStatsOnEveryExit(t *testing.T) {
+	// down(d) recurses d frames deep, then spins forever (n < 0) or loads
+	// from n (n >= 0) and unwinds.
+	mod := &minic.Module{Name: "t", Funcs: []*minic.Func{
+		minic.NewFunc("down", []string{"d", "n"},
+			minic.When(minic.Gt(minic.V("d"), minic.I(0)),
+				minic.Ret(minic.Add(minic.I(1), minic.Call("down", minic.Sub(minic.V("d"), minic.I(1)), minic.V("n"))))),
+			minic.When(minic.Lt(minic.V("n"), minic.I(0)),
+				minic.Loop(minic.I(1), minic.Set("x", minic.Add(minic.V("x"), minic.I(1))))),
+			minic.Ret(minic.Ld(minic.V("n"), minic.I(0)))),
+		minic.NewFunc("forever", []string{"a"},
+			minic.Ret(minic.Call("forever", minic.Add(minic.V("a"), minic.I(1))))),
+	}}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	expired, cancelExpired := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancelExpired()
+	cases := []struct {
+		name   string
+		fn     string
+		args   []int64
+		ctx    context.Context
+		limit  int64
+		inject bool
+		trap   minic.TrapKind // 0: no trap
+	}{
+		{name: "clean return", fn: "down", args: []int64{4, minic.DataBase}},
+		{name: "step limit mid-recursion", fn: "down", args: []int64{5, -1}, limit: 700, trap: minic.TrapStepLimit},
+		{name: "call depth budget", fn: "forever", args: []int64{0}, trap: minic.TrapStack},
+		{name: "cancelled mid-recursion", fn: "down", args: []int64{5, -1}, ctx: cancelled},
+		{name: "deadline mid-recursion", fn: "down", args: []int64{5, -1}, ctx: expired, trap: minic.TrapBudget},
+		{name: "OOB in callee", fn: "down", args: []int64{3, 0}, trap: minic.TrapOOB},
+		{name: "armed ExecTrap", fn: "down", args: []int64{3, 0}, inject: true, trap: minic.TrapDecode},
+	}
+	for _, arch := range isa.All() {
+		dis := disassembled(t, mod, arch, compiler.O1)
+		for _, c := range cases {
+			t.Run(arch.Name+"/"+c.name, func(t *testing.T) {
+				fn, _ := dis.Lookup(c.fn)
+				env := &minic.Env{Args: c.args}
+				if c.inject {
+					injected := &minic.TrapError{Kind: minic.TrapDecode, Msg: "injected"}
+					defer faultinject.Arm(faultinject.ExecTrap, dis.Image.LibName+":"+fn.Name, injected)()
+				}
+				res, err := ExecuteCtx(c.ctx, dis, fn, env, c.limit)
+				switch {
+				case c.trap != 0:
+					wantTrap(t, err, c.trap)
+				case c.ctx == cancelled:
+					if !errors.Is(err, context.Canceled) {
+						t.Fatalf("err = %v, want context.Canceled", err)
+					}
+				case err != nil:
+					t.Fatalf("unexpected error: %v", err)
+				}
+				instrs, want := referenceDepthStats(c.ctx, dis, fn, env, c.limit, c.inject)
+				if res.Trace.Instrs != instrs {
+					t.Fatalf("instrs = %d, reference replay ran %d", res.Trace.Instrs, instrs)
+				}
+				minD, maxD, mean, std := res.Trace.StackDepthStats()
+				if got := [4]float64{float64(minD), float64(maxD), mean, std}; got != want {
+					t.Errorf("StackDepthStats = %v, want %v", got, want)
+				}
+				if c.name != "clean return" && !c.inject && maxD < 4 {
+					t.Errorf("execution stopped at depth %d, want it inside the recursion", maxD)
+				}
+			})
+		}
+	}
+}
+
+// referenceDepthStats replays an execution through the machine's own step
+// function, sampling the call depth before every instruction it executes,
+// and returns the instruction count and the F2..F5 values the trace should
+// report. The instruction that trips the step limit or the watchdog counts
+// in the total but is never executed, so it is not sampled.
+func referenceDepthStats(ctx context.Context, dis *disasm.Disassembly, fn *disasm.Function, env *minic.Env, limit int64, inject bool) (int64, [4]float64) {
+	m := newMachine(ctx, dis, fn, env, limit)
+	var instrs, minD, maxD int64
+	var sum, sum2 float64
+	minD = math.MaxInt64
+	for !inject && uint(m.pc) < uint(len(m.fn.Instrs)) {
+		instrs++
+		if instrs > m.limit || m.ctx != nil && instrs%watchdogStride == 0 && m.poll() != nil {
+			break
+		}
+		d := int64(len(m.frames)) + 1
+		minD, maxD = min(minD, d), max(maxD, d)
+		sum += float64(d)
+		sum2 += float64(d) * float64(d)
+		if done, err := m.step(&m.fn.Instrs[m.pc]); done || err != nil {
+			break
+		}
+	}
+	if instrs == 0 {
+		return 0, [4]float64{}
+	}
+	mean := sum / float64(instrs)
+	return instrs, [4]float64{float64(minD), float64(maxD), mean, math.Sqrt(math.Max(0, sum2/float64(instrs)-mean*mean))}
 }
 
 func TestMemoryRegionTagging(t *testing.T) {

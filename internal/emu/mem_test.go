@@ -1,6 +1,7 @@
 package emu
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/disasm"
@@ -187,4 +188,95 @@ func TestExecuteLeavesEnvUntouched(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestWordAccessMatchesBytewise pins the word fast path (taggedMem.loadWord
+// and storeWord, which serve Ldw, Stw, Push and Pop) to the byte-wise
+// minic.LoadWord/StoreWord reference. Every 8-byte access from 9 bytes
+// below to 9 bytes above each page boundary and region edge runs on two
+// identical fresh memories, once with the surrounding pages never written
+// and once with them filled. The two must agree on the value, the trap
+// kind and address, all five region counters, and the final memory.
+func TestWordAccessMatchesBytewise(t *testing.T) {
+	rodata := make([]byte, pageSize+37) // spans a page boundary, unaligned tail
+	for i := range rodata {
+		rodata[i] = byte(i*7 + 1)
+	}
+	var edges []int64
+	for i := int64(0); i <= dataPages; i++ { // the last one is data -> rodata
+		edges = append(edges, minic.DataBase+i*pageSize)
+	}
+	edges = append(edges, minic.RodataBase+pageSize, minic.RodataBase+int64(len(rodata)))
+	for i := int64(0); i <= heapPages; i++ {
+		edges = append(edges, minic.HeapBase+i*pageSize)
+	}
+	for i := int64(0); i <= stackPages; i++ { // stack floor to StackTop
+		edges = append(edges, StackTop-StackSize+i*pageSize)
+	}
+
+	fresh := func(fill bool, edge int64) *taggedMem {
+		m := &taggedMem{rodata: rodata, trace: newTrace()}
+		if fill {
+			for a := edge - 16; a < edge+16; a++ {
+				_ = m.StoreByte(a, byte(a*13+5)) // traps outside writable regions
+			}
+			m.trace = newTrace()
+		}
+		return m
+	}
+	const v = int64(-0x0123456789abcdf0)
+	for _, edge := range edges {
+		for delta := int64(-9); delta <= 9; delta++ {
+			addr := edge + delta
+			for _, fill := range []bool{false, true} {
+				fast, ref := fresh(fill, edge), fresh(fill, edge)
+				gotV, gotErr := fast.loadWord(addr)
+				wantV, wantErr := minic.LoadWord(ref, addr)
+				checkWordAccess(t, "load", addr, fill, gotV, wantV, gotErr, wantErr, fast, ref)
+
+				fast, ref = fresh(fill, edge), fresh(fill, edge)
+				gotErr = fast.storeWord(addr, v)
+				wantErr = minic.StoreWord(ref, addr, v)
+				checkWordAccess(t, "store", addr, fill, 0, 0, gotErr, wantErr, fast, ref)
+			}
+		}
+	}
+}
+
+func checkWordAccess(t *testing.T, op string, addr int64, fill bool, gotV, wantV int64, gotErr, wantErr error, fast, ref *taggedMem) {
+	t.Helper()
+	where := func() string {
+		return fmt.Sprintf("%s at %#x (filled %v)", op, addr, fill)
+	}
+	if gotV != wantV {
+		t.Errorf("%s: value %#x, want %#x", where(), gotV, wantV)
+	}
+	if (gotErr == nil) != (wantErr == nil) {
+		t.Fatalf("%s: err %v, want %v", where(), gotErr, wantErr)
+	}
+	if gotErr != nil {
+		g, _ := minic.IsTrap(gotErr)
+		w, _ := minic.IsTrap(wantErr)
+		if g == nil || w == nil || g.Kind != w.Kind || g.Addr != w.Addr {
+			t.Errorf("%s: trap %v, want %v", where(), gotErr, wantErr)
+		}
+	}
+	if g, w := countsOf(fast.trace), countsOf(ref.trace); g != w {
+		t.Errorf("%s: region counts %+v, want %+v", where(), g, w)
+	}
+	if !samePages(fast.data[:], ref.data[:]) || !samePages(fast.heap[:], ref.heap[:]) ||
+		!samePages(fast.stack[:], ref.stack[:]) {
+		t.Errorf("%s: final memory differs from the byte-wise store", where())
+	}
+}
+
+// samePages reports whether two page tables have the same pages
+// materialised with the same contents.
+func samePages(a, b []*page) bool {
+	for i := range a {
+		if (a[i] == nil) != (b[i] == nil) || a[i] != nil && *a[i] != *b[i] {
+			return false
+		}
+	}
+	return true
 }
