@@ -66,11 +66,12 @@ fuzz-smoke:
 
 # Statement-coverage floor for the packages the observability layer leans
 # on hardest: the metrics/trace layer itself, the static-stage scorer, the
-# scan engine, the content-address/delta-store layer, and the emulator with
-# the disassembly its predecoded links come from. The floor is
-# asserted per package, so a regression in one cannot hide behind the
-# others. CI runs this.
-COVER_PKGS  = ./internal/obs/ ./internal/detector/ ./patchecko/ ./internal/cas/ ./internal/compid/ ./internal/emu/ ./internal/disasm/
+# scan engine, the content-address/delta-store layer, the component
+# prefilter, the dynamic stage with the module's one candidate-validation
+# worker pool, and the emulator with the disassembly its predecoded links
+# come from. The floor is asserted per package, so a regression in one
+# cannot hide behind the others. CI runs this.
+COVER_PKGS  = ./internal/obs/ ./internal/detector/ ./patchecko/ ./internal/cas/ ./internal/compid/ ./internal/dynamic/ ./internal/emu/ ./internal/disasm/
 COVER_FLOOR = 70
 cover:
 	@set -e; for pkg in $(COVER_PKGS); do \

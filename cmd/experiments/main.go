@@ -30,24 +30,21 @@ func main() {
 
 func run() (err error) {
 	var (
-		scaleName   = flag.String("scale", "medium", "corpus scale: tiny|small|medium|large")
-		seed        = flag.Int64("seed", 42, "seed")
-		workers     = flag.Int("workers", runtime.NumCPU(), "scan worker pool size (results are identical at any count; timing columns vary)")
-		dedup       = flag.Bool("dedup", true, "share scoring across content-identical functions (results are identical either way)")
-		noDedup     = flag.Bool("no-dedup", false, "force every pair to be scored independently (overrides -dedup)")
-		prefilter   = flag.Bool("prefilter", true, "prune scan-grid cells with the component-identification prefilter (results are identical either way)")
-		noPrefilter = flag.Bool("no-prefilter", false, "scan the full (image, CVE, mode) grid (overrides -prefilter)")
-		all         = flag.Bool("all", false, "run every experiment")
-		fig7        = flag.Bool("fig7", false, "Fig. 7: static-stage FP rates")
-		fig8        = flag.Bool("fig8", false, "Fig. 8: training curves")
-		table3      = flag.Bool("table3", false, "Table III: dynamic profiles (case study)")
-		table45     = flag.Bool("table45", false, "Tables IV/V: similarity rankings (case study)")
-		table67     = flag.Bool("table67", false, "Tables VI/VII: pipeline accuracy per CVE")
-		table8      = flag.Bool("table8", false, "Table VIII: patch verdicts")
-		ablate      = flag.Bool("ablate", false, "ablations")
-		headline    = flag.Bool("headline", false, "headline metrics")
-		census      = flag.Bool("census", false, "firmware census (§II-A)")
-		charts      = flag.Bool("charts", false, "render Fig. 7/8 as ASCII bar charts too")
+		scaleName = flag.String("scale", "medium", "corpus scale: tiny|small|medium|large")
+		seed      = flag.Int64("seed", 42, "seed")
+		workers   = flag.Int("workers", runtime.NumCPU(), "scan worker pool size (results are identical at any count; timing columns vary)")
+		prefilter = flag.Bool("prefilter", true, "prune scan-grid cells with the component-identification prefilter (results are identical either way; -prefilter=false scans the full grid)")
+		all       = flag.Bool("all", false, "run every experiment")
+		fig7      = flag.Bool("fig7", false, "Fig. 7: static-stage FP rates")
+		fig8      = flag.Bool("fig8", false, "Fig. 8: training curves")
+		table3    = flag.Bool("table3", false, "Table III: dynamic profiles (case study)")
+		table45   = flag.Bool("table45", false, "Tables IV/V: similarity rankings (case study)")
+		table67   = flag.Bool("table67", false, "Tables VI/VII: pipeline accuracy per CVE")
+		table8    = flag.Bool("table8", false, "Table VIII: patch verdicts")
+		ablate    = flag.Bool("ablate", false, "ablations")
+		headline  = flag.Bool("headline", false, "headline metrics")
+		census    = flag.Bool("census", false, "firmware census (§II-A)")
+		charts    = flag.Bool("charts", false, "render Fig. 7/8 as ASCII bar charts too")
 	)
 	prof := profiling.AddFlags(flag.CommandLine)
 	of := obs.AddFlags(flag.CommandLine)
@@ -86,8 +83,7 @@ func run() (err error) {
 		Seed:        *seed,
 		Workers:     *workers,
 		Obs:         of.Collector(),
-		NoDedup:     *noDedup || !*dedup,
-		NoPrefilter: *noPrefilter || !*prefilter,
+		NoPrefilter: !*prefilter,
 		Log:         func(s string) { fmt.Println(s) },
 	})
 	if err != nil {

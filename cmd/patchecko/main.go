@@ -78,14 +78,14 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   patchecko train  -scale <tiny|small|medium|large> -seed N -out model.json
   patchecko scan   -model model.json -db vulndb.json -image lib.img [-cve CVE-...] [-workers N]
-                   [-no-dedup] [-no-prefilter] [-store DIR [-store-max BYTES]]
+                   [-prefilter=false] [-store DIR [-store-max BYTES]]
   (train and scan also take -cpuprofile file / -memprofile file for go tool pprof;
    scan also takes -metrics manifest.json / -trace events.jsonl for run observability;
    -store keeps static scores on disk keyed by function content address, so
    rescanning a firmware update only re-scores functions that changed;
    the component-identification prefilter skips CVEs whose signature rules the
    image out — every skip is printed, true hosts are never skipped (recall 1.0
-   pinned by test), and -no-prefilter scans every CVE)
+   pinned by test), and -prefilter=false scans every CVE)
   patchecko disasm -image lib.img [-func name|-addr 0x...]
   patchecko compile -src file.mc [-arch amd64 -level O2 -out lib.img -strip]
   patchecko run -src file.mc -func f [-args 4096,8 -data "bytes"]
@@ -197,13 +197,9 @@ func runScan(args []string) (err error) {
 		imagePath = fs.String("image", "", "library image to scan")
 		cveID     = fs.String("cve", "", "scan a single CVE (default: all)")
 		workers   = fs.Int("workers", runtime.NumCPU(), "scan worker pool size (results are identical at any count)")
-		dedup     = fs.Bool("dedup", true, "share work between functions with equal content addresses (results are identical either way)")
-		noDedup   = fs.Bool("no-dedup", false, "force the every-pair reference path (overrides -dedup)")
-		storeDir  = fs.String("store", "", "persistent score-store directory for incremental delta scans (implies -dedup)")
+		storeDir  = fs.String("store", "", "persistent score-store directory for incremental delta scans")
 		storeMax  = fs.Int64("store-max", 0, "score-store on-disk byte budget (0 = default 64MiB)")
-
-		prefilter   = fs.Bool("prefilter", true, "skip CVEs whose component-identification signature rules the image out (each skip is printed; ground-truth recall is pinned at 1.0 by test)")
-		noPrefilter = fs.Bool("no-prefilter", false, "scan the image against every CVE (overrides -prefilter)")
+		prefilter = fs.Bool("prefilter", true, "skip CVEs whose component-identification signature rules the image out (each skip is printed; ground-truth recall is pinned at 1.0 by test; -prefilter=false scans every CVE)")
 	)
 	prof := profiling.AddFlags(fs)
 	of := obs.AddFlags(fs)
@@ -270,12 +266,8 @@ func runScan(args []string) (err error) {
 	an := patchecko.NewAnalyzer(model, db)
 	an.Workers = *workers
 	an.Obs = of.Collector()
-	an.Dedup = *dedup && !*noDedup
-	an.Prefilter = *prefilter && !*noPrefilter
+	an.Prefilter = *prefilter
 	if *storeDir != "" {
-		if !an.Dedup {
-			return fmt.Errorf("-store requires the dedup path (drop -no-dedup)")
-		}
 		// The store is versioned by the model content hash: entries written
 		// by any other model answer as invalidated, never as hits.
 		store, err := cas.Open(*storeDir, modelHash, *storeMax)
@@ -345,17 +337,15 @@ func runScan(args []string) (err error) {
 			status, scan.Verdict.Confidence)
 	}
 	if pruned > 0 {
-		fmt.Printf("prefilter: pruned %d of %d CVEs (rerun with -no-prefilter to scan the full set)\n",
+		fmt.Printf("prefilter: pruned %d of %d CVEs (rerun with -prefilter=false to scan the full set)\n",
 			pruned, len(ids))
 	}
-	if an.Dedup {
-		dc := an.DedupCounts()
-		fmt.Printf("dedup: %d unique of %d functions; scored %d pairs, reused %d, from store %d\n",
-			prepared.NumUnique(), prepared.NumFuncs(), dc.PairsScored, dc.PairsDeduped, dc.PairsFromStore)
-		if an.Store != nil {
-			fmt.Printf("store: %d hits, %d misses, %d invalidated (%d bytes in %s)\n",
-				dc.StoreHits, dc.StoreMisses, dc.StoreInvalidated, an.Store.Size(), an.Store.Dir())
-		}
+	dc := an.DedupCounts()
+	fmt.Printf("dedup: %d unique of %d functions; scored %d pairs, reused %d, from store %d\n",
+		prepared.NumUnique(), prepared.NumFuncs(), dc.PairsScored, dc.PairsDeduped, dc.PairsFromStore)
+	if an.Store != nil {
+		fmt.Printf("store: %d hits, %d misses, %d invalidated (%d bytes in %s)\n",
+			dc.StoreHits, dc.StoreMisses, dc.StoreInvalidated, an.Store.Size(), an.Store.Dir())
 	}
 	if failed > 0 {
 		return fmt.Errorf("%d of %d CVE scans failed", failed, len(ids))

@@ -69,8 +69,7 @@ func run() (err error) {
 		storeDir = fs.String("store", "", "persistent score-store directory shared by all jobs")
 		storeMax = fs.Int64("store-max", 0, "score-store on-disk byte budget (0 = default 64MiB)")
 
-		prefilter   = fs.Bool("prefilter", true, "prune scan-grid cells with the component-identification prefilter (served reports are identical either way)")
-		noPrefilter = fs.Bool("no-prefilter", false, "scan every job's full (image, CVE, mode) grid (overrides -prefilter)")
+		prefilter = fs.Bool("prefilter", true, "prune scan-grid cells with the component-identification prefilter (served reports are identical either way; -prefilter=false scans every job's full grid)")
 	)
 	of := obs.AddFlags(fs)
 	if err := fs.Parse(os.Args[1:]); err != nil {
@@ -115,7 +114,7 @@ func run() (err error) {
 		RefCacheSize:  *refCache,
 		JournalPath:   *journal,
 		JournalMax:    *journalMax,
-		NoPrefilter:   *noPrefilter || !*prefilter,
+		NoPrefilter:   !*prefilter,
 	}
 	if *storeDir != "" {
 		store, serr := cas.Open(*storeDir, obs.ModelHash(rawModel), *storeMax)

@@ -313,16 +313,33 @@ func ValidateParallel(ctx context.Context, dis *disasm.Disassembly, cands []*dis
 		//patchecko:allow ctxflow nil-ctx API tolerance: Background is the documented fallback root
 		ctx = context.Background()
 	}
-	if workers > len(cands) {
-		workers = len(cands)
+	return ValidateWith(ctx, len(cands), workers, func(i int) ProfileOutcome {
+		return ProfileCandidate(ctx, dis, cands[i], envs, ex)
+	}, ex.Obs)
+}
+
+// ValidateWith is the candidate worker pool behind ValidateParallel: it runs
+// profile(i) for every candidate index in [0, n) on at most workers
+// goroutines, then classifies the outcomes exactly as Validate does. The
+// profile function decides how a candidate is profiled — ProfileCandidate
+// directly, or through a cache that shares the work across duplicate
+// candidates — and must convert panics into outcomes, as ProfileCandidate
+// does. Classification and its counters run per candidate index, so a
+// caller that shares profiling work still reports the same validation
+// totals as an unshared run. The context, which must be non-nil, stops the
+// pool between candidates; skipped candidates are neither survivors nor
+// exclusions.
+func ValidateWith(ctx context.Context, n, workers int, profile func(i int) ProfileOutcome, ob *obs.Metrics) ([]int, map[int][]EnvProfile, map[int]error) {
+	if workers > n {
+		workers = n
 	}
-	results := make([]ProfileOutcome, len(cands))
-	if workers <= 1 || len(cands) <= 1 {
-		for i, fn := range cands {
+	results := make([]ProfileOutcome, n)
+	if workers <= 1 {
+		for i := range results {
 			if ctx.Err() != nil {
 				break
 			}
-			results[i] = ProfileCandidate(ctx, dis, fn, envs, ex)
+			results[i] = profile(i)
 		}
 	} else {
 		var next atomic.Int64
@@ -333,25 +350,22 @@ func ValidateParallel(ctx context.Context, dis *disasm.Disassembly, cands []*dis
 				defer wg.Done()
 				for {
 					i := int(next.Add(1) - 1)
-					if i >= len(cands) || ctx.Err() != nil {
+					if i >= n || ctx.Err() != nil {
 						return
 					}
-					results[i] = ProfileCandidate(ctx, dis, cands[i], envs, ex)
+					results[i] = profile(i)
 				}
 			}()
 		}
 		wg.Wait()
 	}
-	return ClassifyOutcomes(results, ex.Obs)
+	return classifyOutcomes(results, ob)
 }
 
-// ClassifyOutcomes reduces per-candidate outcomes into the validation
-// result exactly as Validate does: errors and fully-trapping candidates are
-// excluded with a reason, the rest survive with their profiles. Counters
-// are recorded per outcome, so a caller that shares profiling work across
-// duplicate candidates (the engine's dedup path) still reports the same
-// validation totals as an unshared run.
-func ClassifyOutcomes(results []ProfileOutcome, ob *obs.Metrics) ([]int, map[int][]EnvProfile, map[int]error) {
+// classifyOutcomes reduces per-candidate outcomes into the validation
+// result: errors and fully-trapping candidates are excluded with a reason,
+// the rest survive with their profiles. Counters are recorded per outcome.
+func classifyOutcomes(results []ProfileOutcome, ob *obs.Metrics) ([]int, map[int][]EnvProfile, map[int]error) {
 	var survivors []int
 	profiles := make(map[int][]EnvProfile)
 	excluded := make(map[int]error)

@@ -52,14 +52,13 @@ func (r PrefilterResult) Render(w io.Writer) {
 }
 
 // scanAnalyzer builds a fresh analyzer mirroring the suite's configuration
-// (workers, dedup) so an ablation can flip one knob without
+// (workers, prefilter) so an ablation can flip one knob without
 // disturbing the shared analyzer's memoized state. The ablation's scans skip
 // the suite's Obs sink: they run every fixture twice, which would double
 // every counter the other experiments report.
 func (s *Suite) scanAnalyzer() *patchecko.Analyzer {
 	an := patchecko.NewAnalyzer(s.Model, s.DB)
 	an.Workers = s.Cfg.Workers
-	an.Dedup = !s.Cfg.NoDedup
 	an.Prefilter = !s.Cfg.NoPrefilter
 	return an
 }

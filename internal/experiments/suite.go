@@ -36,10 +36,6 @@ type Config struct {
 	// Obs, when non-nil, receives the analyzer's pipeline counters and
 	// trace events; experiment artifacts are byte-identical either way.
 	Obs *obs.Metrics
-	// NoDedup disables the analyzer's content-addressed dedup path,
-	// forcing every (query, function) pair to be scored and validated
-	// independently. Experiment artifacts are byte-identical either way.
-	NoDedup bool
 	// NoPrefilter disables the component-identification prefilter, scanning
 	// the full (image, CVE, mode) grid. Experiment artifacts are
 	// byte-identical either way; AblatePrefilter measures the difference.
@@ -118,7 +114,6 @@ func NewSuite(ctx context.Context, cfg Config) (*Suite, error) {
 	s.Analyzer = patchecko.NewAnalyzer(s.Model, s.DB)
 	s.Analyzer.Workers = cfg.Workers
 	s.Analyzer.Obs = cfg.Obs
-	s.Analyzer.Dedup = !cfg.NoDedup
 	s.Analyzer.Prefilter = !cfg.NoPrefilter
 
 	prepWorkers := cfg.Workers

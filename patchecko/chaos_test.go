@@ -92,43 +92,29 @@ func TestScanFirmwareChaos(t *testing.T) {
 	// on vs off is a fault-free guarantee, pinned by the golden and recall
 	// suites — so each prefilter setting keeps its own baseline report.
 	bases := make(map[bool]*Report)
-	// Deterministic counters depend on the dedup and prefilter settings
-	// (shared work is counted as deduped, not scored; pruned cells never
-	// count), so each setting pair keeps its own worker-count-invariant
+	// Deterministic counters depend on the prefilter setting (pruned cells
+	// never count), so each setting keeps its own worker-count-invariant
 	// baseline.
-	type counterKey struct{ noDedup, prefilter bool }
-	baseCounters := make(map[counterKey]map[string]int64)
-	// The scalar runs pin the static stage to the reference path, the traced
-	// runs arm full observability, the noDedup runs disable the
-	// content-addressed fast path, and the prefilter runs let the component
-	// prefilter prune the grid: batched, scalar, observed, unobserved,
-	// deduped, every-pair, pruned and full-grid scans must all produce
-	// byte-identical reports (per prefilter setting) even with every fault
-	// armed, and the deterministic pipeline counters must not depend on the
-	// worker count either.
+	baseCounters := make(map[bool]map[string]int64)
+	// The traced runs arm full observability and the prefilter runs let the
+	// component prefilter prune the grid: observed, unobserved, pruned and
+	// full-grid scans must all produce byte-identical reports (per prefilter
+	// setting) even with every fault armed, and the deterministic pipeline
+	// counters must not depend on the worker count either.
 	for _, cfg := range []struct {
 		workers   int
-		scalar    bool
 		traced    bool
-		noDedup   bool
 		prefilter bool
 	}{
-		{1, false, false, false, false}, {4, false, false, false, false}, {16, false, false, false, false},
-		{1, true, false, false, false}, {4, true, false, false, false},
-		{1, false, true, false, false}, {4, false, true, false, false}, {16, false, true, false, false},
-		{1, false, false, true, false}, {16, false, false, true, false},
-		{4, true, false, true, false}, {1, false, true, true, false}, {16, false, true, true, false},
-		{1, false, true, false, true}, {4, false, true, false, true}, {16, false, true, false, true},
-		{1, false, true, true, true}, {16, false, true, true, true},
-		{4, true, false, false, true},
+		{1, false, false}, {4, false, false}, {16, false, false},
+		{1, true, false}, {4, true, false}, {16, true, false},
+		{1, true, true}, {4, true, true}, {16, true, true},
 	} {
 		workers := cfg.workers
 		// A fresh analyzer per run: reference failures memoize per analyzer,
 		// and the determinism guarantee is about a cold scan.
 		an := NewAnalyzer(model, db)
 		an.Workers = workers
-		an.StaticScalar = cfg.scalar
-		an.Dedup = !cfg.noDedup
 		an.Prefilter = cfg.prefilter
 		if cfg.traced {
 			an.Obs = obs.NewTraced(0)
@@ -139,14 +125,13 @@ func TestScanFirmwareChaos(t *testing.T) {
 		}
 		if cfg.traced {
 			counters := an.Obs.Counters()
-			key := counterKey{cfg.noDedup, cfg.prefilter}
-			if baseCounters[key] == nil {
-				baseCounters[key] = counters
+			if baseCounters[cfg.prefilter] == nil {
+				baseCounters[cfg.prefilter] = counters
 			} else {
-				for name, want := range baseCounters[key] {
+				for name, want := range baseCounters[cfg.prefilter] {
 					if got := counters[name]; got != want {
-						t.Errorf("workers=%d dedup=%v: chaos counter %s = %d, want %d (first traced run)",
-							workers, !cfg.noDedup, name, got, want)
+						t.Errorf("workers=%d prefilter=%v: chaos counter %s = %d, want %d (first traced run)",
+							workers, cfg.prefilter, name, got, want)
 					}
 				}
 			}

@@ -13,8 +13,8 @@
 // reachable rodata are folded in, so dynamic profiles and trap messages
 // match under every execution environment and step limit. Per-occurrence
 // accounting (candidate lists, exclusion records, validation counters) is
-// kept per cell, which is what makes reports byte-identical with dedup on
-// or off.
+// kept per cell, which is what makes reports byte-identical to scoring and
+// validating every (function, CVE) pair independently.
 //
 // One caveat, relevant only to tests: fault injection keyed on an image
 // name (faultinject.ExecTrap on a candidate image) deliberately breaks the
@@ -26,7 +26,6 @@ package patchecko
 import (
 	"context"
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/cas"
@@ -92,27 +91,17 @@ func storeKey(cve string, k scoreKey) string {
 
 // dedupCandidates is the static stage with per-unique-body scoring: every
 // function consults the shared score for its content address in the CVE's
-// dedup table, computing — through the caller's batched scorer or the
-// scalar reference path — only on first sight. Candidate selection,
-// ordering and observability then run per occurrence, so the candidate
-// list is exactly the every-pair list.
+// dedup table, computing through the caller's batched scorer only on first
+// sight. Candidate selection, ordering and observability then run per
+// occurrence, so the candidate list is exactly the every-pair list of
+// Model.Candidates.
 func (a *Analyzer) dedupCandidates(entry *vulndb.Entry, arch string, mode QueryMode, p *PreparedImage, sc *detector.Scorer) ([]detector.Candidate, error) {
-	var compute func(i int) float64
-	if sc == nil {
-		ref, err := a.cachedRef(entry, arch, mode)
-		if err != nil {
-			return nil, err
-		}
-		qv := ref.StaticVec()
-		compute = func(i int) float64 { return a.model.Similarity(qv, p.Vecs[i]) }
-	} else {
-		qh, err := a.cachedQueryHalves(entry, arch, mode)
-		if err != nil {
-			return nil, err
-		}
-		uts := p.UniqueTargets(a.model)
-		compute = func(i int) float64 { return sc.Pair(qh, uts, p.uniqPos[i]) }
+	qh, err := a.cachedQueryHalves(entry, arch, mode)
+	if err != nil {
+		return nil, err
 	}
+	uts := p.UniqueTargets(a.model)
+	compute := func(i int) float64 { return sc.Pair(qh, uts, p.uniqPos[i]) }
 	t := a.refcache().table(entry.ID, arch, a.StepLimit)
 	var out []detector.Candidate
 	for i := range p.Vecs {
@@ -121,7 +110,7 @@ func (a *Analyzer) dedupCandidates(entry *vulndb.Entry, arch string, mode QueryM
 			out = append(out, detector.Candidate{Index: i, Score: s})
 		}
 	}
-	// Same total order as both every-pair paths: score descending, index
+	// Same total order as Model.Candidates: score descending, index
 	// ascending. Shared scores are bit-identical to computed ones, so the
 	// permutation matches too.
 	slices.SortFunc(out, func(x, y detector.Candidate) int {
@@ -181,52 +170,17 @@ func (a *Analyzer) sharedScore(t *dedupTable, cve string, k scoreKey, i int, com
 }
 
 // dedupValidate is the dynamic stage's validation step with per-unique-body
-// profiling: the pool shape and outcome classification mirror
-// dynamic.ValidateParallel exactly, but each candidate's profiling is
-// single-flighted by content address in the CVE's dedup table, so a body
-// duplicated across cells, images and — on a shared cache — jobs executes
-// once per (CVE, step limit). Classification and its counters stay per
-// occurrence.
+// profiling: the candidates run on dynamic.ValidateWith's worker pool, but
+// each candidate's profiling is single-flighted by content address in the
+// CVE's dedup table, so a body duplicated across cells, images and — on a
+// shared cache — jobs executes once per (CVE, step limit). Classification
+// and its counters stay per occurrence.
 func (a *Analyzer) dedupValidate(ctx context.Context, p *PreparedImage, entry *vulndb.Entry,
 	cands []detector.Candidate, candFuncs []*disasm.Function, envs []*minic.Env, workers int) ([]int, map[int][]EnvProfile, map[int]error) {
-	if ctx == nil {
-		//patchecko:allow ctxflow nil-ctx API tolerance: Background is the documented fallback root
-		ctx = context.Background()
-	}
 	t := a.refcache().table(entry.ID, p.Image.Arch, a.StepLimit)
-	results := make([]dynamic.ProfileOutcome, len(cands))
-	run := func(i int) {
-		results[i] = a.sharedProfile(ctx, p.Dis, candFuncs[i], t.validation(p.CAS[cands[i].Index]), envs)
-	}
-	if workers > len(cands) {
-		workers = len(cands)
-	}
-	if workers <= 1 || len(cands) <= 1 {
-		for i := range cands {
-			if ctx.Err() != nil {
-				break
-			}
-			run(i)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1) - 1)
-					if i >= len(cands) || ctx.Err() != nil {
-						return
-					}
-					run(i)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	survivors, profiles, excluded := dynamic.ClassifyOutcomes(results, a.Obs)
+	survivors, profiles, excluded := dynamic.ValidateWith(ctx, len(cands), workers, func(i int) dynamic.ProfileOutcome {
+		return a.sharedProfile(ctx, p.Dis, candFuncs[i], t.validation(p.CAS[cands[i].Index]), envs)
+	}, a.Obs)
 	// Unalias the memoized profile slices before they are published on a
 	// CVEScan: several cells may share one outcome.
 	for idx, eps := range profiles {

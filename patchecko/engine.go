@@ -347,10 +347,9 @@ type ScanStats struct {
 	PartialSurvivors   int // survivors ranked from truncated profiles
 
 	// Dedup / delta-scan counters. UniqueFuncs is deterministic in the
-	// inputs (content addresses are computed whether or not dedup runs);
-	// the rest measure the work the dedup caches and the persistent store
-	// saved this run, so they legitimately vary with the Dedup flag and the
-	// store's warmth — the equivalence suites zero them before comparing.
+	// inputs; the rest measure the work the dedup caches and the persistent
+	// store saved this run, so they legitimately vary with cache and store
+	// warmth — the equivalence suites zero them before comparing.
 	UniqueFuncs        int   // distinct function content addresses across prepared images
 	PairsDeduped       int64 // static scores reused from the in-memory dedup cache
 	PairsFromStore     int64 // static scores answered by the persistent store

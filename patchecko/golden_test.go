@@ -69,18 +69,18 @@ func goldenFixtures(t *testing.T) (*Model, *DB, *Firmware) {
 }
 
 // goldenConfig selects one analyzer configuration for a golden run. The
-// zero value is the default scan: dedup on, no persistent store.
+// zero value is the default scan: prefilter on, no persistent store.
 type goldenConfig struct {
 	workers     int
 	sink        *obs.Metrics
-	noDedup     bool
 	noPrefilter bool // full scan grid instead of the component-prefiltered one
 	store       *cas.Store
 }
 
 // goldenReportConfigJSON runs a full firmware scan under one configuration
 // and marshals the normalized Report. Wall-clock timings, the configured
-// worker count, and the dedup/store work-saved statistics are the only
+// worker count, the grid-scheduling accounting, and the dedup/store
+// work-saved statistics are the only
 // fields that legitimately vary across configurations; normalizeReport
 // zeroes them, and encoding/json sorts all map keys, so equal Reports
 // marshal to equal bytes.
@@ -90,7 +90,6 @@ func goldenReportConfigJSON(t *testing.T, cfg goldenConfig) []byte {
 	an := NewAnalyzer(model, db)
 	an.Workers = cfg.workers
 	an.Obs = cfg.sink
-	an.Dedup = !cfg.noDedup
 	an.Prefilter = !cfg.noPrefilter
 	an.Store = cfg.store
 	report, err := an.ScanFirmware(context.Background(), fw)
@@ -164,26 +163,15 @@ func TestGoldenReport(t *testing.T) {
 		}
 	}
 
-	// Dedup equivalence: the content-addressed fast path and the every-pair
-	// reference path must produce the same bytes at every worker count.
-	for _, workers := range []int{1, 4, 16} {
-		got := goldenReportConfigJSON(t, goldenConfig{workers: workers, noDedup: true})
-		if !bytes.Equal(got, want) {
-			t.Errorf("workers=%d dedup-off: report bytes diverge from golden", workers)
-		}
-	}
-
 	// Prefilter equivalence: the component prefilter (on by default, and on
 	// in every run above) prunes grid cells whose fingerprints cannot host
 	// the CVE, but a pruned cell is always one the full grid would score as
 	// a no-match — so the full grid must reproduce the same committed bytes
-	// at every worker count, with dedup on and off.
+	// at every worker count.
 	for _, workers := range []int{1, 4, 16} {
-		for _, noDedup := range []bool{false, true} {
-			got := goldenReportConfigJSON(t, goldenConfig{workers: workers, noDedup: noDedup, noPrefilter: true})
-			if !bytes.Equal(got, want) {
-				t.Errorf("workers=%d dedup=%v no-prefilter: report bytes diverge from golden", workers, !noDedup)
-			}
+		got := goldenReportConfigJSON(t, goldenConfig{workers: workers, noPrefilter: true})
+		if !bytes.Equal(got, want) {
+			t.Errorf("workers=%d prefilter off: report bytes diverge from golden", workers)
 		}
 	}
 

@@ -159,33 +159,16 @@ type Analyzer struct {
 	// validate candidates on a pool of this size. Results are bit-identical
 	// to sequential scanning; only wall-clock changes.
 	Workers int
-	// StaticScalar pins the static stage to the scalar reference path
-	// (Model.Candidates on raw vectors) instead of the batched scorer with
-	// cached first-layer halves. Both paths share one canonical
-	// floating-point order, so reports are byte-identical either way; the
-	// flag exists so equivalence is testable and the batched machinery is
-	// bypassable when debugging.
-	StaticScalar bool
 	// Obs receives pipeline counters, per-stage wall-clock totals and (when
 	// built with obs.NewTraced) structured trace events. Nil — the default —
 	// is the no-op sink: instrumented paths cost one predicted branch and
 	// zero allocations, and reports are byte-identical either way.
 	Obs *obs.Metrics
-	// Dedup — on by default via NewAnalyzer — shares per-function work by
-	// content address: each unique function body is statically scored once
-	// per CVE×mode and dynamically validated once per CVE×step-limit, with
-	// the result reused for every duplicate across all images scanned
-	// through the analyzer's reference cache — its own, or SharedCache,
-	// whose dedup tables every analyzer on it reads and fills. Reports are
-	// byte-identical with dedup on or off; only work is saved. Turn it off
-	// to force the reference every-pair path (the equivalence suites
-	// compare both).
-	Dedup bool
-	// Store, when non-nil and Dedup is on, persists static scores by content
-	// address across analyzer lifetimes — the delta-scan path: rescanning a
-	// firmware update only recomputes functions whose content changed. The
-	// store is versioned by model hash and corruption-tolerant; a bad or
-	// stale entry is a miss, never a wrong score. Ignored when Dedup is off.
+	// Store, when non-nil, persists static scores by content address across
+	// analyzer lifetimes — the delta-scan path: rescanning a firmware update
+	// only recomputes functions whose content changed. The store is
+	// versioned by model hash and corruption-tolerant; a bad or stale entry
+	// is a miss, never a wrong score.
 	Store *cas.Store
 	// SharedCache, when non-nil, replaces the analyzer's private reference
 	// cache with a process-wide (usually bounded, see NewRefCache) one so
@@ -222,7 +205,7 @@ type Analyzer struct {
 	StaticOnly bool
 
 	// cache is the private RefCache used when SharedCache is nil: per-CVE
-	// reference work and, when Dedup is on, the dedup tables.
+	// reference work and the dedup tables.
 	cache RefCache
 	// consults counts this analyzer's own cache and dedup-table consults.
 	consults consultCounts
@@ -233,10 +216,18 @@ type Analyzer struct {
 }
 
 // NewAnalyzer builds an analyzer from a trained model and a CVE database.
-// Content-addressed dedup is on by default; results are byte-identical to a
-// dedup-off analyzer.
+//
+// The static and dynamic stages share per-function work by content
+// address: each unique function body is statically scored once per
+// CVE×mode and dynamically validated once per CVE×step-limit, with the
+// result reused for every duplicate across all images scanned through the
+// analyzer's reference cache — its own, or SharedCache, whose dedup tables
+// every analyzer on it reads and fills. Candidate lists, validation
+// outcomes and reports are exactly those of scoring and validating every
+// (function, CVE) pair independently; the tests pin that against the
+// every-pair reference paths (Model.Candidates, dynamic.ValidateParallel).
 func NewAnalyzer(model *Model, db *DB) *Analyzer {
-	return &Analyzer{model: model, db: db, StepLimit: 1 << 20, Dedup: true, Prefilter: true}
+	return &Analyzer{model: model, db: db, StepLimit: 1 << 20, Prefilter: true}
 }
 
 // DB returns the analyzer's vulnerability database.
@@ -249,9 +240,6 @@ type PreparedImage struct {
 	Dis   *disasm.Disassembly
 	Vecs  []features.Vector
 	// CAS holds each function's content address, aligned with Dis.Funcs.
-	// Computed unconditionally by Prepare — the addresses are cheap next to
-	// feature extraction and the dedup-ratio statistics must not depend on
-	// whether dedup is enabled.
 	CAS []cas.Addr
 
 	// uniq lists one representative function index per distinct content
@@ -261,14 +249,11 @@ type PreparedImage struct {
 	uniq    []int
 	uniqPos []int
 
-	// Batched static stage: every function vector normalized and pushed
-	// through the model's first layer once, then reused across all CVEs,
-	// both query modes and every worker. Built lazily under mu by the first
-	// cell that scores this image. uts is the dedup variant covering only
-	// the unique representatives.
+	// Batched static stage: every unique representative's vector
+	// normalized and pushed through the model's first layer once, then
+	// reused across all CVEs, both query modes and every worker. Built
+	// lazily under mu by the first cell that scores this image.
 	mu       sync.Mutex
-	tsModel  *Model
-	ts       *detector.TargetSet
 	utsModel *Model
 	uts      *detector.TargetSet
 
@@ -277,24 +262,13 @@ type PreparedImage struct {
 	fp *compid.Fingerprint
 }
 
-// Targets returns the image's precomputed first-layer target halves for the
-// model, building them on first use. Safe for concurrent use; the build is
-// single-flighted under the image's mutex.
-func (p *PreparedImage) Targets(m *Model) *detector.TargetSet {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.tsModel != m {
-		p.ts = m.PrepareTargets(p.Vecs)
-		p.tsModel = m
-	}
-	return p.ts
-}
-
-// UniqueTargets is Targets restricted to the unique-representative vectors:
-// the dedup path pushes each distinct function body through the model's
-// first layer once. Per-vector preparation is independent, so a
-// representative's halves here are bit-identical to its halves in the full
-// set — which is what keeps dedup scores equal to every-pair scores.
+// UniqueTargets returns the model's precomputed first-layer target halves
+// for the image's unique-representative vectors, building them on first
+// use: each distinct function body goes through the model's first layer
+// once. Per-vector preparation is independent, so a representative's
+// halves are bit-identical to its halves in m.PrepareTargets(p.Vecs) —
+// which is what keeps dedup scores equal to every-pair scores. Safe for
+// concurrent use; the build is single-flighted under the image's mutex.
 func (p *PreparedImage) UniqueTargets(m *Model) *detector.TargetSet {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -415,20 +389,17 @@ func (a *Analyzer) ScanImage(ctx context.Context, p *PreparedImage, cveID string
 	return a.scanImage(ctx, p, cveID, mode, a.Workers, a.newScorer())
 }
 
-// newScorer returns a scoring context for the batched static stage, or nil
-// when the analyzer is pinned to the scalar path. A Scorer is single-
-// threaded; the scan engine calls this once per worker goroutine.
+// newScorer returns a scoring context for the batched static stage. A
+// Scorer is single-threaded; the scan engine calls this once per worker
+// goroutine.
 func (a *Analyzer) newScorer() *detector.Scorer {
-	if a.StaticScalar {
-		return nil
-	}
 	return a.model.NewScorer().Observe(a.Obs)
 }
 
 // scanImage is ScanImage with an explicit candidate-validation pool size —
 // so the firmware scan grid can keep per-cell validation sequential while
 // standalone ScanImage calls still parallelize it — and the caller's
-// batched scoring context (nil forces the scalar static stage).
+// batched scoring context.
 func (a *Analyzer) scanImage(ctx context.Context, p *PreparedImage, cveID string, mode QueryMode, validateWorkers int, sc *detector.Scorer) (*CVEScan, error) {
 	if ctx == nil {
 		//patchecko:allow ctxflow nil-ctx API tolerance: Background is the documented fallback root
@@ -442,10 +413,6 @@ func (a *Analyzer) scanImage(ctx context.Context, p *PreparedImage, cveID string
 		return nil, fmt.Errorf("patchecko: unknown CVE %s", cveID)
 	}
 	arch := p.Image.Arch
-	queryRef, err := a.cachedRef(entry, arch, mode)
-	if err != nil {
-		return nil, &refError{err}
-	}
 
 	scan := &CVEScan{
 		CVE:        cveID,
@@ -454,31 +421,15 @@ func (a *Analyzer) scanImage(ctx context.Context, p *PreparedImage, cveID string
 		TotalFuncs: len(p.Dis.Funcs),
 	}
 
-	// Stage 1: deep-learning classification. The batched path scores the
-	// image's cached first-layer target halves against the CVE's cached
-	// query halves in the worker's scratch buffers; the scalar path scores
-	// the raw vectors. Both use the same canonical accumulation order, so
-	// candidates — indices, exact scores, order — are identical.
+	// Stage 1: deep-learning classification. Each unique function body's
+	// cached first-layer target halves are scored against the CVE's cached
+	// query halves in the worker's scratch buffers, in the scalar model's
+	// canonical accumulation order, so candidates — indices, exact scores,
+	// order — are those of Model.Candidates on the raw vectors.
 	sw := obs.StartStopwatch()
-	var cands []detector.Candidate
-	if a.Dedup {
-		var derr error
-		cands, derr = a.dedupCandidates(entry, arch, mode, p, sc)
-		if derr != nil {
-			return nil, &refError{derr}
-		}
-	} else if sc == nil {
-		cands = a.model.Candidates(queryRef.StaticVec(), p.Vecs)
-		// The batched Scorer counts its own pairs; the scalar path counts
-		// here so both report the same totals.
-		a.Obs.Add(obs.CtrPairsScored, int64(len(p.Vecs)))
-		a.Obs.Add(obs.CtrStaticCandidates, int64(len(cands)))
-	} else {
-		qh, qerr := a.cachedQueryHalves(entry, arch, mode)
-		if qerr != nil {
-			return nil, &refError{qerr}
-		}
-		cands = sc.Candidates(qh, p.Targets(a.model))
+	cands, err := a.dedupCandidates(entry, arch, mode, p, sc)
+	if err != nil {
+		return nil, &refError{err}
 	}
 	scan.StaticTime = sw.Elapsed()
 	a.Obs.AddStage(obs.StageStatic, scan.StaticTime)
@@ -504,14 +455,7 @@ func (a *Analyzer) scanImage(ctx context.Context, p *PreparedImage, cveID string
 	for i, c := range cands {
 		candFuncs[i] = p.Dis.Funcs[c.Index]
 	}
-	var survivors []int
-	var profiles map[int][]EnvProfile
-	var excluded map[int]error
-	if a.Dedup {
-		survivors, profiles, excluded = a.dedupValidate(ctx, p, entry, cands, candFuncs, envs, validateWorkers)
-	} else {
-		survivors, profiles, excluded = dynamic.ValidateParallel(ctx, p.Dis, candFuncs, envs, a.exec(), validateWorkers)
-	}
+	survivors, profiles, excluded := a.dedupValidate(ctx, p, entry, cands, candFuncs, envs, validateWorkers)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -675,8 +619,8 @@ type Report struct {
 
 // Normalize zeroes the Report fields that legitimately vary from run to run
 // on identical inputs — wall-clock timings, the configured worker count,
-// and the work-saved accounting that depends on cache warmth, the Dedup
-// flag and the persistent store — so two reports of the same scan can be
+// and the work-saved accounting that depends on cache warmth and the
+// persistent store — so two reports of the same scan can be
 // compared byte-for-byte (marshal after Normalize; encoding/json sorts map
 // keys). It also zeroes the grid-scheduling accounting (cells run/pruned
 // and the per-cell byproducts summed only over scheduled cells), which
