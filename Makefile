@@ -62,16 +62,16 @@ fuzz-smoke:
 	$(GO) test ./internal/disasm/ -run=Fuzz -fuzz=FuzzDisassemble -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/features/ -run=Fuzz -fuzz=FuzzExtract -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/cas/ -run=Fuzz -fuzz=FuzzNormalize -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/compid/ -run=Fuzz -fuzz=FuzzFingerprintDecode -fuzztime=$(FUZZTIME)
 
 # Statement-coverage floor for the packages the observability layer leans
-# on hardest: the metrics/trace layer itself, the static-stage scorer, the
-# scan engine, the content-address/delta-store layer, the component
+# on hardest: the metrics/trace layer itself, the static-stage scorer and
+# the inference layer under it (the reference and engine forward passes),
+# the scan engine, the content-address/delta-store layer, the component
 # prefilter, the dynamic stage with the module's one candidate-validation
 # worker pool, and the emulator with the disassembly its predecoded links
 # come from. The floor is asserted per package, so a regression in one
 # cannot hide behind the others. CI runs this.
-COVER_PKGS  = ./internal/obs/ ./internal/detector/ ./patchecko/ ./internal/cas/ ./internal/compid/ ./internal/dynamic/ ./internal/emu/ ./internal/disasm/
+COVER_PKGS  = ./internal/obs/ ./internal/detector/ ./internal/nn/ ./patchecko/ ./internal/cas/ ./internal/compid/ ./internal/dynamic/ ./internal/emu/ ./internal/disasm/
 COVER_FLOOR = 70
 cover:
 	@set -e; for pkg in $(COVER_PKGS); do \

@@ -33,7 +33,6 @@ func run() (err error) {
 		scaleName = flag.String("scale", "medium", "corpus scale: tiny|small|medium|large")
 		seed      = flag.Int64("seed", 42, "seed")
 		workers   = flag.Int("workers", runtime.NumCPU(), "scan worker pool size (results are identical at any count; timing columns vary)")
-		prefilter = flag.Bool("prefilter", true, "prune scan-grid cells with the component-identification prefilter (results are identical either way; -prefilter=false scans the full grid)")
 		all       = flag.Bool("all", false, "run every experiment")
 		fig7      = flag.Bool("fig7", false, "Fig. 7: static-stage FP rates")
 		fig8      = flag.Bool("fig8", false, "Fig. 8: training curves")
@@ -79,12 +78,11 @@ func run() (err error) {
 	// and mask the partial-artifact flush.
 	ctx := context.Background()
 	suite, err := experiments.NewSuite(ctx, experiments.Config{
-		Scale:       scale,
-		Seed:        *seed,
-		Workers:     *workers,
-		Obs:         of.Collector(),
-		NoPrefilter: !*prefilter,
-		Log:         func(s string) { fmt.Println(s) },
+		Scale:   scale,
+		Seed:    *seed,
+		Workers: *workers,
+		Obs:     of.Collector(),
+		Log:     func(s string) { fmt.Println(s) },
 	})
 	if err != nil {
 		return err

@@ -304,10 +304,12 @@ func runScan(args []string) (err error) {
 		if ctx.Err() != nil {
 			return fmt.Errorf("interrupted after %d of %d CVE scans", i, len(ids))
 		}
-		// Single-image mode has no grid to fold, so a pruned CVE needs no
-		// rescue pass: the prefilter only ever drops cells the full scan would
-		// report as no-match. -cve bypasses the skip — an explicit request is
-		// always scanned.
+		// Single-image mode has no grid to fold and no rescue pass, so
+		// pruning changes the printed answer: a pruned CVE is skipped even
+		// where the full scan would print a lookalike match. The prefilter
+		// never prunes a CVE's host image, so such a match is never the
+		// CVE's own function. -cve bypasses the skip — an explicit request
+		// is always scanned.
 		if an.Prefilter && *cveID == "" && !an.PrefilterKeep(prepared, id) {
 			pruned++
 			fmt.Printf("%-16s pruned (component prefilter: image lacks the CVE's component fingerprint)\n", id)

@@ -5,11 +5,13 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/binimg"
 	"repro/internal/corpus"
 	"repro/internal/obs"
+	"repro/internal/vulndb"
 )
 
 // fixtureCVE is the CVE whose host library scanFixture writes out.
@@ -93,13 +95,24 @@ func TestScanMetricsStageTimes(t *testing.T) {
 // the seed-42 tiny fixture image, once with the component prefilter on and
 // once with it off, against the transcripts committed under testdata. Any
 // change to what the scan prints — verdicts, candidate counts, prefilter
-// skips, dedup totals — shows up as a transcript diff.
+// skips, dedup totals — shows up as a transcript diff. With the prefilter
+// on, every CVE printed as pruned must be hosted by another library than
+// the scanned image's: the prefilter never prunes a CVE's own host.
 //
 // Regenerate after an intentional output change with:
 //
 //	PATCHECKO_UPDATE_GOLDEN=1 go test ./cmd/patchecko/ -run TestScanTranscript
 func TestScanTranscript(t *testing.T) {
 	modelPath, dbPath, imagePath := scanFixture(t)
+	rawDB, err := os.ReadFile(dbPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := vulndb.Load(rawDB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	host, _ := db.Get(fixtureCVE)
 	for _, tc := range []struct {
 		name string
 		args []string
@@ -109,6 +122,9 @@ func TestScanTranscript(t *testing.T) {
 	} {
 		args := append([]string{"-model", modelPath, "-db", dbPath, "-image", imagePath, "-workers", "1"}, tc.args...)
 		got := captureStdout(t, func() error { return runScan(args) })
+		if tc.name == "prefilter_on" {
+			checkPrunedOffHost(t, got, db, host.Library)
+		}
 		path := filepath.Join("testdata", "scan_"+tc.name+".txt")
 		if os.Getenv("PATCHECKO_UPDATE_GOLDEN") != "" {
 			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
@@ -125,6 +141,30 @@ func TestScanTranscript(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Errorf("%s: scan output diverges from %s:\n got:\n%s\nwant:\n%s", tc.name, path, got, want)
 		}
+	}
+}
+
+// checkPrunedOffHost asserts that the scan transcript prunes at least one
+// CVE and that no pruned CVE is hosted by imageLib, the scanned image's
+// library.
+func checkPrunedOffHost(t *testing.T, out []byte, db *vulndb.DB, imageLib string) {
+	t.Helper()
+	pruned := 0
+	for _, line := range strings.Split(string(out), "\n") {
+		f := strings.Fields(line)
+		if len(f) < 2 || f[1] != "pruned" || !strings.HasPrefix(f[0], "CVE-") {
+			continue
+		}
+		pruned++
+		e, ok := db.Get(f[0])
+		if !ok {
+			t.Errorf("pruned %s is not in the database", f[0])
+		} else if e.Library == imageLib {
+			t.Errorf("%s pruned, but the scanned image %s hosts it", f[0], imageLib)
+		}
+	}
+	if pruned == 0 {
+		t.Error("the prefilter pruned no CVE; the host check is vacuous")
 	}
 }
 

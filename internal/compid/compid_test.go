@@ -37,9 +37,8 @@ func compileLib(t *testing.T, mod *minic.Module, arch *isa.Arch, lvl compiler.Le
 	return im
 }
 
-// checkCanonical asserts the ordering invariants the codec treats as part of
-// the format: digests, strings and constants strictly ascending, vectors
-// aligned with digests.
+// checkCanonical asserts the fingerprint's ordering invariants: digests,
+// strings and constants strictly ascending, vectors aligned with digests.
 func checkCanonical(t *testing.T, fp *Fingerprint) {
 	t.Helper()
 	if fp.Arch == "" {
@@ -67,7 +66,7 @@ func checkCanonical(t *testing.T, fp *Fingerprint) {
 
 // TestExtractDeterministic pins extraction determinism on every supported
 // architecture: recompiling and re-fingerprinting the same source produces
-// byte-identical encodings, and stripping the image (dropping symbol names)
+// an identical fingerprint, and stripping the image (dropping symbol names)
 // changes nothing — the fingerprint depends on image contents alone.
 func TestExtractDeterministic(t *testing.T) {
 	for _, arch := range isa.All() {
@@ -81,12 +80,12 @@ func TestExtractDeterministic(t *testing.T) {
 
 		mod2 := minic.GenLibrary(minic.GenConfig{Seed: 7, Name: "libfp", NumFuncs: 12})
 		again := fingerprintImage(t, compileLib(t, mod2, arch, compiler.O2))
-		if !bytes.Equal(fp.Marshal(), again.Marshal()) {
+		if !reflect.DeepEqual(fp, again) {
 			t.Errorf("%s: recompiled fingerprint differs", arch.Name)
 		}
 
 		stripped := fingerprintImage(t, compileLib(t, mod, arch, compiler.O2).Strip())
-		if !bytes.Equal(fp.Marshal(), stripped.Marshal()) {
+		if !reflect.DeepEqual(fp, stripped) {
 			t.Errorf("%s: stripped fingerprint differs from unstripped", arch.Name)
 		}
 	}
@@ -195,8 +194,8 @@ func TestRodataEditSensitivity(t *testing.T) {
 	if reflect.DeepEqual(fp.Strings, got.Strings) {
 		t.Error("rodata edit left the string channel unchanged")
 	}
-	if bytes.Equal(fp.Marshal(), got.Marshal()) {
-		t.Error("rodata edit left the fingerprint encoding unchanged")
+	if reflect.DeepEqual(fp, got) {
+		t.Error("rodata edit left the fingerprint unchanged")
 	}
 }
 

@@ -339,42 +339,6 @@ func (m *Model) Candidates(query features.Vector, targets []features.Vector) []C
 	return out
 }
 
-// CalibrateThreshold sets the candidate threshold to the largest value
-// that still keeps the target recall on positive validation pairs. The
-// static stage is recall-oriented (a pruned true function can never be
-// recovered downstream, while false positives are cheap — the dynamic
-// stage exists to remove them), so thresholds are chosen from recall, not
-// precision. Returns the chosen threshold; the model is updated in place.
-func (m *Model) CalibrateThreshold(val []nn.Sample, targetRecall float64) float64 {
-	if targetRecall <= 0 || targetRecall > 1 {
-		targetRecall = 0.99
-	}
-	var posScores []float64
-	for _, s := range val {
-		if s.Y > 0.5 {
-			posScores = append(posScores, m.Net.Predict(s.X))
-		}
-	}
-	if len(posScores) == 0 {
-		return m.Threshold
-	}
-	sort.Float64s(posScores)
-	idx := int(float64(len(posScores)) * (1 - targetRecall))
-	if idx >= len(posScores) {
-		idx = len(posScores) - 1
-	}
-	th := posScores[idx]
-	// Clamp to a sane operating range.
-	if th < 0.02 {
-		th = 0.02
-	}
-	if th > 0.9 {
-		th = 0.9
-	}
-	m.Threshold = th
-	return th
-}
-
 // TestMetrics evaluates the model on held-out samples: accuracy, loss, AUC.
 func (m *Model) TestMetrics(samples []nn.Sample) (acc, loss, auc float64) {
 	loss, acc = nn.Evaluate(m.Net, samples)

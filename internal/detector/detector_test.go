@@ -200,39 +200,3 @@ func TestSimilarityIsSymmetric(t *testing.T) {
 		t.Error("similarity should be symmetric by construction")
 	}
 }
-
-func TestCalibrateThreshold(t *testing.T) {
-	groups := buildGroups(t, 3, 10)
-	cfg := DefaultTrainConfig()
-	cfg.Epochs = 6
-	model, _, ds, err := Train(groups, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	th := model.CalibrateThreshold(ds.Val, 0.98)
-	if th != model.Threshold {
-		t.Error("CalibrateThreshold did not update the model")
-	}
-	if th < 0.02 || th > 0.9 {
-		t.Errorf("threshold %v outside operating range", th)
-	}
-	// The calibrated threshold must actually achieve ~the target recall
-	// on the validation positives.
-	var pos, kept int
-	for _, s := range ds.Val {
-		if s.Y > 0.5 {
-			pos++
-			if model.Net.Predict(s.X) >= th {
-				kept++
-			}
-		}
-	}
-	if pos > 0 && float64(kept)/float64(pos) < 0.95 {
-		t.Errorf("calibrated recall %d/%d below target", kept, pos)
-	}
-	// Degenerate inputs leave the threshold unchanged.
-	before := model.Threshold
-	if got := model.CalibrateThreshold(nil, 0.9); got != before {
-		t.Error("empty validation set changed the threshold")
-	}
-}

@@ -28,7 +28,6 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/disasm"
 	"repro/internal/emu"
@@ -131,19 +130,10 @@ type Exec struct {
 	// Steps is the instruction budget per execution (DefaultStepLimit
 	// if <= 0); exhaustion surfaces as minic.TrapStepLimit.
 	Steps int64
-	// Budget is the wall-clock watchdog per execution (0 = none);
-	// expiry surfaces as minic.TrapBudget. Unlike the step limit the
-	// watchdog is not deterministic in the inputs, so scans that must be
-	// byte-reproducible leave it off and rely on Steps.
-	Budget time.Duration
 	// Obs receives execution and validation counters; nil (the default)
 	// is the no-op sink.
 	Obs *obs.Metrics
 }
-
-// Steps builds an Exec with only an instruction budget — the common case
-// in tests and deterministic scans.
-func Steps(limit int64) Exec { return Exec{Steps: limit} }
 
 // EnvProfile is one environment's execution outcome: the Table II feature
 // vector of the trace — complete, or truncated at the fault — plus the trap
@@ -203,7 +193,7 @@ func ProfileFunc(ctx context.Context, dis *disasm.Disassembly, fn *disasm.Functi
 		if ctx != nil && ctx.Err() != nil {
 			return out, ctx.Err()
 		}
-		res, err := executeOne(ctx, dis, fn, env, ex)
+		res, err := emu.ExecuteObserved(ctx, dis, fn, env, ex.Steps, ex.Obs)
 		if err != nil {
 			if tr, ok := minic.IsTrap(err); ok {
 				ex.Obs.Add(obs.CtrEnvsExecuted, 1)
@@ -221,21 +211,6 @@ func ProfileFunc(ctx context.Context, dis *disasm.Disassembly, fn *disasm.Functi
 		out = append(out, EnvProfile{Vec: Profile(res.Trace.Vector())})
 	}
 	return out, nil
-}
-
-// executeOne runs a single emulator execution under the Exec bounds,
-// deriving the per-execution watchdog deadline from the budget.
-func executeOne(ctx context.Context, dis *disasm.Disassembly, fn *disasm.Function, env *minic.Env, ex Exec) (*emu.Result, error) {
-	if ex.Budget <= 0 {
-		return emu.ExecuteObserved(ctx, dis, fn, env, ex.Steps, ex.Obs)
-	}
-	if ctx == nil {
-		//patchecko:allow ctxflow nil-ctx API tolerance: Background is the documented fallback root
-		ctx = context.Background()
-	}
-	ectx, cancel := context.WithTimeout(ctx, ex.Budget)
-	defer cancel()
-	return emu.ExecuteObserved(ectx, dis, fn, env, ex.Steps, ex.Obs)
 }
 
 // SimilarityEnv is the fault-tolerant form of equation (2): each

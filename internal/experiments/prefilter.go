@@ -51,15 +51,14 @@ func (r PrefilterResult) Render(w io.Writer) {
 	}
 }
 
-// scanAnalyzer builds a fresh analyzer mirroring the suite's configuration
-// (workers, prefilter) so an ablation can flip one knob without
-// disturbing the shared analyzer's memoized state. The ablation's scans skip
-// the suite's Obs sink: they run every fixture twice, which would double
-// every counter the other experiments report.
+// scanAnalyzer builds a fresh analyzer with the suite's worker count so an
+// ablation can flip one knob without disturbing the shared analyzer's
+// memoized state. The ablation's scans skip the suite's Obs sink: they run
+// every fixture twice, which would double every counter the other
+// experiments report.
 func (s *Suite) scanAnalyzer() *patchecko.Analyzer {
 	an := patchecko.NewAnalyzer(s.Model, s.DB)
 	an.Workers = s.Cfg.Workers
-	an.Prefilter = !s.Cfg.NoPrefilter
 	return an
 }
 

@@ -27,8 +27,6 @@ import (
 type Config struct {
 	Scale corpus.Scale
 	Seed  int64
-	// Epochs overrides the scale's training epochs when > 0.
-	Epochs int
 	// Workers sizes the analyzer's scan worker pool and parallelizes
 	// firmware preparation during setup. Every experiment artifact is
 	// bit-identical at any worker count; <= 0 keeps scanning sequential.
@@ -36,10 +34,6 @@ type Config struct {
 	// Obs, when non-nil, receives the analyzer's pipeline counters and
 	// trace events; experiment artifacts are byte-identical either way.
 	Obs *obs.Metrics
-	// NoPrefilter disables the component-identification prefilter, scanning
-	// the full (image, CVE, mode) grid. Experiment artifacts are
-	// byte-identical either way; AblatePrefilter measures the difference.
-	NoPrefilter bool
 	// Log, when non-nil, receives progress lines during setup.
 	Log func(string)
 }
@@ -96,9 +90,6 @@ func NewSuite(ctx context.Context, cfg Config) (*Suite, error) {
 	tc.Seed = cfg.Seed
 	tc.MaxPosPerFunc = cfg.Scale.MaxPosPerFunc
 	tc.Epochs = cfg.Scale.Epochs
-	if cfg.Epochs > 0 {
-		tc.Epochs = cfg.Epochs
-	}
 	tc.Verbose = func(line string) { logf("  " + line) }
 	logf("training the 6-layer similarity network...")
 	s.Model, s.History, s.Dataset, err = detector.Train(groups, tc)
@@ -114,7 +105,6 @@ func NewSuite(ctx context.Context, cfg Config) (*Suite, error) {
 	s.Analyzer = patchecko.NewAnalyzer(s.Model, s.DB)
 	s.Analyzer.Workers = cfg.Workers
 	s.Analyzer.Obs = cfg.Obs
-	s.Analyzer.Prefilter = !cfg.NoPrefilter
 
 	prepWorkers := cfg.Workers
 	if prepWorkers <= 0 {

@@ -16,12 +16,13 @@
 //
 //   - HalfApply + InferLogitSplit: the plain reference implementation,
 //     allocating as it goes. This is what Model.Similarity uses.
-//   - HalfApplyInto + Scratch + InferLogitSplitScratch: the engine
-//     implementation — allocation-free with caller-owned buffers, inner
-//     loops unrolled two output rows at a time. Unrolling across rows does
-//     not touch any single accumulator's operation sequence, so the two
-//     implementations produce bit-identical results; the batched scan path
-//     is byte-for-byte the scalar path, only faster.
+//   - HalfApplyInto + Scratch + InferLogitSplitScratch2: the engine
+//     implementation — allocation-free with caller-owned buffers, both
+//     symmetrized pair directions in one pass, inner loops unrolled across
+//     output rows. Unrolling across rows does not touch any single
+//     accumulator's operation sequence, so the two implementations produce
+//     bit-identical results; the batched scan path is byte-for-byte the
+//     scalar path, only faster.
 //
 // Note the split order is NOT bit-identical to InferLogit on the
 // concatenated 96-dim input (the 49th addend lands on a different partial
@@ -88,17 +89,11 @@ func (d *Dense) HalfApplyInto(dst, x []float64, off int, withBias bool) {
 	}
 }
 
-// ApplyInto is Apply into a caller-owned buffer of length d.Out:
-// allocation-free, bit-identical to Apply.
-func (d *Dense) ApplyInto(dst, x []float64) {
-	d.HalfApplyInto(dst, x, 0, true)
-}
-
 // ApplyInto2 computes the layer on two independent inputs in one
 // interleaved pass, loading each weight row once for both. Each
 // accumulator (two rows × two inputs) follows the exact sequential order
 // of Apply on its own input, so dstA/dstB are bit-identical to two
-// ApplyInto calls. The symmetrized pair scorer uses this to push both pair
+// Apply calls. The symmetrized pair scorer uses this to push both pair
 // orders through the network together.
 func (d *Dense) ApplyInto2(dstA, dstB, xA, xB []float64) {
 	n := len(xA)
@@ -216,31 +211,4 @@ func (n *Network) InferLogitSplitScratch2(s *Scratch, firstA, secondA, firstB, s
 		ha, hb = outA, outB
 	}
 	return ha[0], hb[0]
-}
-
-// InferLogitSplitScratch is InferLogitSplit with zero heap allocations: all
-// intermediate activations live in the Scratch. Bit-identical to
-// InferLogitSplit.
-func (n *Network) InferLogitSplitScratch(s *Scratch, first, second []float64) float64 {
-	h := s.bufs[0]
-	for o := range h {
-		v := first[o] + second[o]
-		if v < 0 {
-			v = 0
-		}
-		h[o] = v
-	}
-	for li := 1; li < len(n.Layers); li++ {
-		out := s.bufs[li]
-		n.Layers[li].ApplyInto(out, h)
-		if li < len(n.Layers)-1 {
-			for i := range out {
-				if out[i] < 0 {
-					out[i] = 0
-				}
-			}
-		}
-		h = out
-	}
-	return h[0]
 }

@@ -179,12 +179,6 @@ func (n *Network) InferLogit(x []float64) float64 {
 	return h[0]
 }
 
-// Infer returns the probability that x is a positive pair, computed
-// goroutine-safely (see InferLogit).
-func (n *Network) Infer(x []float64) float64 {
-	return Sigmoid(n.InferLogit(x))
-}
-
 // backward runs backprop from a single logit gradient, accumulating layer
 // gradients (call after Logit on the same input).
 func (n *Network) backward(dlogit float64) {

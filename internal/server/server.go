@@ -135,9 +135,6 @@ type Config struct {
 	Store *cas.Store
 	Obs   *obs.Metrics
 
-	// TraceCap bounds each job's event ring (0 = obs.DefaultTraceCap).
-	TraceCap int
-
 	// gate, when non-nil, makes every worker consume one token from it
 	// between dequeuing a job and running it. In-package tests use it to pin
 	// queue occupancy deterministically (fill the queue while a worker
@@ -296,7 +293,7 @@ func New(cfg Config) (*Server, error) {
 			id:       rec.Job,
 			tenant:   rec.Tenant,
 			sub:      &Submission{Tenant: rec.Tenant},
-			sink:     obs.NewTraced(cfg.TraceCap),
+			sink:     obs.NewTraced(obs.DefaultTraceCap),
 			done:     make(chan struct{}),
 			state:    stateOfKind(rec.Kind),
 			attempts: rec.Attempts,
@@ -364,7 +361,7 @@ func (s *Server) newJobLocked(id string, sub *Submission) *job {
 		id:     id,
 		tenant: sub.Tenant,
 		sub:    sub,
-		sink:   obs.NewTraced(s.cfg.TraceCap),
+		sink:   obs.NewTraced(obs.DefaultTraceCap),
 		done:   make(chan struct{}),
 		state:  StateQueued,
 	}

@@ -651,10 +651,10 @@ func (a *Analyzer) ScanFirmware(ctx context.Context, fw *Firmware) (*Report, err
 		if best == nil && keep != nil {
 			// Second-chance pass: every cell the prefilter scheduled for
 			// this CVE failed (or none were healthy), yet pruned cells
-			// remain. A pruned cell is a would-be no-match, but the full
-			// grid would still have reported that no-match — and a report
-			// answer must never depend on the prefilter — so run the pruned
-			// cells now, sequentially, and fold them in grid order.
+			// remain. A pruned cell never holds the CVE's host, but it may
+			// hold a lookalike the full grid would have matched — and a
+			// report answer must never depend on the prefilter — so run the
+			// pruned cells now, sequentially, and fold them in grid order.
 			rescuedRow := 0
 			for pi := range prepared {
 				if prepared[pi] == nil || keep[ci][pi] {
@@ -693,16 +693,8 @@ func (a *Analyzer) ScanFirmware(ctx context.Context, fw *Firmware) (*Report, err
 			}
 		}
 		report.Results[id] = best
-		if best != nil && best.Matched {
-			a.Obs.Emit(obs.Event{
-				Kind:       obs.EvVerdictReached,
-				CVE:        best.CVE,
-				Library:    best.Library,
-				Mode:       best.Mode.String(),
-				Addr:       best.Match.Addr,
-				Patched:    best.Verdict.Patched,
-				Confidence: best.Verdict.Confidence,
-			})
+		if best != nil {
+			a.emitVerdictEvent(best)
 		}
 	}
 	hits1, misses1 := a.consults.refHits.Load(), a.consults.refMisses.Load()
@@ -741,17 +733,24 @@ func (a *Analyzer) EmitScanEvents(scan *CVEScan) {
 		return
 	}
 	a.emitCellEvents(scan)
-	if scan.Matched {
-		a.Obs.Emit(obs.Event{
-			Kind:       obs.EvVerdictReached,
-			CVE:        scan.CVE,
-			Library:    scan.Library,
-			Mode:       scan.Mode.String(),
-			Addr:       scan.Match.Addr,
-			Patched:    scan.Verdict.Patched,
-			Confidence: scan.Verdict.Confidence,
-		})
+	a.emitVerdictEvent(scan)
+}
+
+// emitVerdictEvent emits the verdict_reached event for a scan that matched
+// a target function; an unmatched scan emits nothing.
+func (a *Analyzer) emitVerdictEvent(scan *CVEScan) {
+	if !scan.Matched {
+		return
 	}
+	a.Obs.Emit(obs.Event{
+		Kind:       obs.EvVerdictReached,
+		CVE:        scan.CVE,
+		Library:    scan.Library,
+		Mode:       scan.Mode.String(),
+		Addr:       scan.Match.Addr,
+		Patched:    scan.Verdict.Patched,
+		Confidence: scan.Verdict.Confidence,
+	})
 }
 
 // emitCellEvents emits one cell_completed event for a finished grid cell

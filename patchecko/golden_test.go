@@ -165,9 +165,9 @@ func TestGoldenReport(t *testing.T) {
 
 	// Prefilter equivalence: the component prefilter (on by default, and on
 	// in every run above) prunes grid cells whose fingerprints cannot host
-	// the CVE, but a pruned cell is always one the full grid would score as
-	// a no-match — so the full grid must reproduce the same committed bytes
-	// at every worker count.
+	// the CVE. It never prunes a CVE's host cell, and a pruned lookalike
+	// never beats the host's match — so the full grid must reproduce the
+	// same committed bytes at every worker count.
 	for _, workers := range []int{1, 4, 16} {
 		got := goldenReportConfigJSON(t, goldenConfig{workers: workers, noPrefilter: true})
 		if !bytes.Equal(got, want) {

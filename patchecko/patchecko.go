@@ -141,12 +141,6 @@ type Analyzer struct {
 	db    *DB
 	// StepLimit bounds each candidate execution.
 	StepLimit int64
-	// ExecBudget is a wall-clock watchdog per emulator execution, enforced
-	// alongside the step limit; expiry surfaces as a TrapBudget trap. Zero
-	// (the default) disables it: unlike the step limit a wall-clock bound
-	// is not deterministic in the inputs, so scans that must be
-	// byte-reproducible across runs leave it off.
-	ExecBudget time.Duration
 	// ExploitReplay enables the patch-diff-guided differential replay
 	// extension (the future work the paper sketches for its one
 	// misclassification). When the standard differential evidence is
@@ -185,12 +179,14 @@ type Analyzer struct {
 	// identification prefilter (internal/compid) before ScanFirmware
 	// schedules its grid: each prepared image is fingerprinted once, and a
 	// CVE row only schedules the images whose fingerprints match the CVE's
-	// component signature. The keep rule is calibrated recall-safe — a
-	// pruned cell is one the full grid would have scored as a no-match — so
-	// reports are byte-identical with the prefilter on or off (after
-	// Normalize, which zeroes the grid-scheduling accounting), and the
-	// recall suite pins that against full-grid ground truth rather than
-	// assuming it. Every escape path (no derivable signature, a degenerate
+	// component signature. The keep rule is calibrated recall-safe: a
+	// CVE's ground-truth host image is never pruned, and a pruned
+	// lookalike never beats the host's match, so reports are
+	// byte-identical with the prefilter on or off (after Normalize, which
+	// zeroes the grid-scheduling accounting). The recall suite pins both
+	// against the full grid rather than assuming them. A pruned cell may
+	// still hold a lookalike the full grid would have matched, so a
+	// single-image answer can differ. Every escape path (no derivable signature, a degenerate
 	// signature, an armed compid.match fault, a row the filter would empty)
 	// degrades to the full grid; pruning is never silent — see
 	// Stats.CellsPruned, the cells_pruned/prefilter_degraded counters and
@@ -524,7 +520,7 @@ func (a *Analyzer) scanImage(ctx context.Context, p *PreparedImage, cveID string
 
 // exec bundles the analyzer's per-execution bounds for the dynamic stage.
 func (a *Analyzer) exec() dynamic.Exec {
-	return dynamic.Exec{Steps: a.StepLimit, Budget: a.ExecBudget, Obs: a.Obs}
+	return dynamic.Exec{Steps: a.StepLimit, Obs: a.Obs}
 }
 
 // patchVerdict runs the differential engine on a matched target function.

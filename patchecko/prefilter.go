@@ -2,9 +2,10 @@
 // each prepared image is fingerprinted once (internal/compid) and each CVE
 // row keeps only the images whose fingerprints match the CVE's component
 // signature — UVSCAN's identify-components-first architecture applied to
-// the (image, CVE, mode) grid. The keep rule is calibrated recall-safe (a
-// pruned cell is one the full grid would have scored as a no-match), and
-// every escape path degrades to the FULL grid, never to silent pruning:
+// the (image, CVE, mode) grid. The keep rule is calibrated recall-safe: a
+// CVE's ground-truth host cells are never pruned, and a pruned lookalike
+// never beats the host cell, so a whole-firmware Report is the same with
+// or without pruning. Every escape path degrades to the FULL grid, never to silent pruning:
 // missing signatures, degenerate signatures, armed compid.match faults and
 // rows the filter would empty all keep their cells, with the degrade
 // counted and traced.
