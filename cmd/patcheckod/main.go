@@ -62,14 +62,10 @@ func run() (err error) {
 		deadline = fs.Duration("deadline", 0, "per-job wall-clock bound (0 = none); the last quarter degrades to static-only")
 		shed     = fs.Float64("shed", 0, "queue fraction in (0,1] beyond which jobs degrade to static-only (0 = off)")
 
-		refCache   = fs.Int("ref-cache", 0, "shared reference-cache slot bound, counting each CVE's per-arch references and dedup table (0 = default 300)")
-		journal    = fs.String("journal", "", "crash-safe job journal path (empty = in-memory only, no resume)")
-		journalMax = fs.Int64("journal-max", 0, "journal compaction threshold in bytes (0 = default 4MiB)")
+		journal = fs.String("journal", "", "crash-safe job journal path (empty = in-memory only, no resume)")
 
 		storeDir = fs.String("store", "", "persistent score-store directory shared by all jobs")
 		storeMax = fs.Int64("store-max", 0, "score-store on-disk byte budget (0 = default 64MiB)")
-
-		prefilter = fs.Bool("prefilter", true, "prune scan-grid cells with the component-identification prefilter (served reports are identical either way; -prefilter=false scans every job's full grid)")
 	)
 	of := obs.AddFlags(fs)
 	if err := fs.Parse(os.Args[1:]); err != nil {
@@ -111,10 +107,7 @@ func run() (err error) {
 		RetryMax:      *retryMax,
 		JobDeadline:   *deadline,
 		ShedThreshold: *shed,
-		RefCacheSize:  *refCache,
 		JournalPath:   *journal,
-		JournalMax:    *journalMax,
-		NoPrefilter:   !*prefilter,
 	}
 	if *storeDir != "" {
 		store, serr := cas.Open(*storeDir, obs.ModelHash(rawModel), *storeMax)

@@ -110,26 +110,12 @@ type Config struct {
 	// 0 disables shedding.
 	ShedThreshold float64
 
-	// RefCacheSize bounds the process-wide shared reference cache in
-	// slots (0 = default 300): one per (CVE, arch, reference version) and
-	// one dedup table per (CVE, arch), whose score and validation rows
-	// every job reads and fills.
-	RefCacheSize int
-
-	// NoPrefilter disables the component-identification prefilter, scanning
-	// every job's full (image, CVE, mode) grid. Served Reports are
-	// byte-identical either way; the flag exists as the operator's escape
-	// hatch.
-	NoPrefilter bool
-
 	// JournalPath enables the crash-safe job journal ("" = in-memory only:
-	// no crash safety, no resume). JournalMax is its compaction threshold
-	// in bytes (0 = default).
+	// no crash safety, no resume). It compacts past 4 MiB.
 	JournalPath string
-	JournalMax  int64
 
 	// Store is the optional persistent static-score store shared by all
-	// jobs. Obs is the process-level sink ( nil = a private one); each job
+	// jobs. Obs is the process-level sink (nil = a private one); each job
 	// additionally runs against its own traced sink, merged in at
 	// termination.
 	Store *cas.Store
@@ -172,10 +158,6 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("server: config: job deadline must be >= 0 (0 = none), got %v", c.JobDeadline)
 	case c.ShedThreshold < 0 || c.ShedThreshold > 1:
 		return fmt.Errorf("server: config: shed threshold must be in [0, 1], got %v", c.ShedThreshold)
-	case c.RefCacheSize < 0:
-		return fmt.Errorf("server: config: ref cache size must be >= 0 (0 = default), got %d", c.RefCacheSize)
-	case c.JournalMax < 0:
-		return fmt.Errorf("server: config: journal max bytes must be >= 0 (0 = default), got %d", c.JournalMax)
 	}
 	return nil
 }
@@ -184,13 +166,6 @@ func (c *Config) Validate() error {
 const (
 	defaultQueueDepth = 64
 	defaultWorkers    = 2
-	// defaultRefCacheSize holds every slot the largest DB can fill at one
-	// step limit: 25 CVEs × 4 architectures × {vulnerable reference,
-	// patched reference, dedup table}. A bound below that would evict a
-	// CVE's dedup table — and with it every score and validation earlier
-	// jobs left there — while a fleet of mixed-arch devices is still
-	// scanning it.
-	defaultRefCacheSize = 25 * 4 * 3
 )
 
 // Job states.
@@ -227,17 +202,13 @@ type job struct {
 // an http.Server, and Close it to shut down.
 type Server struct {
 	cfg     Config
-	cache   *patchecko.RefCache
+	cache   patchecko.RefCache // shared by every job's analyzer
 	journal *Journal
 	obs     *obs.Metrics
 
 	queue chan *job
 	quit  chan struct{}
 	wg    sync.WaitGroup
-	// gate, when non-nil, blocks each worker between dequeuing a job (and
-	// deciding shed from the queue level) and running it — one receive per
-	// job. Tests use it to pin queue occupancy deterministically.
-	gate chan struct{}
 
 	mu       sync.Mutex
 	draining bool
@@ -255,25 +226,20 @@ func New(cfg Config) (*Server, error) {
 	if cfg.QueueDepth == 0 {
 		cfg.QueueDepth = defaultQueueDepth
 	}
-	if cfg.RefCacheSize == 0 {
-		cfg.RefCacheSize = defaultRefCacheSize
-	}
 	if cfg.Obs == nil {
 		cfg.Obs = obs.New()
 	}
 	s := &Server{
 		cfg:     cfg,
-		cache:   patchecko.NewRefCache(cfg.RefCacheSize),
 		obs:     cfg.Obs,
 		quit:    make(chan struct{}),
-		gate:    cfg.gate,
 		jobs:    make(map[string]*job),
 		tenants: make(map[string]int),
 	}
 
 	var pending, finished []*record
 	if cfg.JournalPath != "" {
-		j, recs, done, err := openJournal(cfg.JournalPath, cfg.JournalMax, s.obs)
+		j, recs, done, err := openJournal(cfg.JournalPath, defaultJournalMax, s.obs)
 		if err != nil {
 			return nil, err
 		}
@@ -505,7 +471,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, map[string]string{"job": id, "state": StateQueued})
 }
 
-// jobStatus is the GET /jobs/{id} view.
+// JobStatus is the GET /jobs/{id} view.
 type JobStatus struct {
 	Job      string    `json:"job"`
 	Tenant   string    `json:"tenant,omitempty"`
@@ -737,9 +703,9 @@ func (s *Server) worker() {
 				}
 			}
 			s.mu.Unlock()
-			if s.gate != nil {
+			if s.cfg.gate != nil {
 				select {
-				case <-s.gate:
+				case <-s.cfg.gate:
 				case <-s.quit:
 					return
 				}
@@ -805,11 +771,10 @@ func (s *Server) runJob(j *job) {
 
 		an := patchecko.NewAnalyzer(s.cfg.Model, s.cfg.DB)
 		an.Workers = s.cfg.ScanWorkers
-		an.SharedCache = s.cache
+		an.SharedCache = &s.cache
 		an.Store = s.cfg.Store
 		an.Obs = j.sink
 		an.StaticOnly = degraded
-		an.Prefilter = !s.cfg.NoPrefilter
 
 		// Full-pipeline attempts under a deadline get a soft budget of 3/4
 		// of the remaining wall-clock: if the scan blows it while the job

@@ -178,8 +178,6 @@ func TestConfigValidate(t *testing.T) {
 		{"negative retry max", func(c *Config) { c.RetryMax = -time.Second }, "retry max delay"},
 		{"negative deadline", func(c *Config) { c.JobDeadline = -time.Second }, "job deadline"},
 		{"shed out of range", func(c *Config) { c.ShedThreshold = 1.5 }, "shed threshold"},
-		{"negative ref cache", func(c *Config) { c.RefCacheSize = -1 }, "ref cache size"},
-		{"negative journal max", func(c *Config) { c.JournalMax = -1 }, "journal max"},
 	}
 	for _, tc := range cases {
 		cfg := Config{Model: model, DB: db}

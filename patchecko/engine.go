@@ -12,7 +12,6 @@
 package patchecko
 
 import (
-	"container/list"
 	"context"
 	"runtime"
 	"slices"
@@ -22,6 +21,7 @@ import (
 
 	"repro/internal/binimg"
 	"repro/internal/cas"
+	"repro/internal/compid"
 	"repro/internal/detector"
 	"repro/internal/dynamic"
 	"repro/internal/faultinject"
@@ -30,10 +30,8 @@ import (
 	"repro/internal/vulndb"
 )
 
-// refKey identifies one reference-cache slot: a CVE's vulnerable or
-// patched reference for one architecture under one execution step limit,
-// or — with mode tableMode — that CVE's dedup table for the architecture
-// and step limit.
+// refKey identifies one reference slot: a CVE's vulnerable or patched
+// reference for one architecture under one execution step limit.
 type refKey struct {
 	cve   string
 	arch  string
@@ -41,10 +39,14 @@ type refKey struct {
 	limit int64
 }
 
-// tableMode is the refKey mode of a dedup-table slot. Query modes start at
-// 1, so it never names a reference; the table itself is mode-independent
-// and keys its score rows by mode.
-const tableMode QueryMode = 0
+// tableKey identifies one dedup-table slot: a CVE's table for one
+// architecture under one execution step limit. The table is
+// mode-independent and keys its score rows by mode.
+type tableKey struct {
+	cve   string
+	arch  string
+	limit int64
+}
 
 // refEntry holds the memoized reference work for one key under a mutex
 // (not a sync.Once): outcomes memoize permanently — including failures,
@@ -109,130 +111,97 @@ type dynEntry struct {
 // dedupTable is one (CVE, arch, step limit)'s content-addressed dedup
 // rows: static scores keyed by (mode, body) and validation outcomes keyed
 // by body alone — environments depend only on the CVE, so vulnerable- and
-// patched-mode cells share one execution. It is a single reference-cache
-// slot, so the cache's bound covers it and evicting it drops all its rows;
-// its row count grows with the distinct bodies that reached the CVE.
+// patched-mode cells share one execution. Its row count grows with the
+// distinct bodies that reached the CVE. The table also carries the CVE's
+// component signature for the prefilter, derived once on first use.
 type dedupTable struct {
 	mu     sync.Mutex
 	scores map[scoreKey]*scoreEntry
 	dyn    map[cas.Addr]*dynEntry
+
+	sigOnce sync.Once
+	sig     *compid.Signature
 }
 
 func (t *dedupTable) score(k scoreKey) *scoreEntry {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.scores == nil {
-		t.scores = make(map[scoreKey]*scoreEntry)
-	}
-	e, ok := t.scores[k]
-	if !ok {
-		e = &scoreEntry{}
-		t.scores[k] = e
-	}
-	return e
+	return memo(&t.scores, k)
 }
 
 func (t *dedupTable) validation(fn cas.Addr) *dynEntry {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.dyn == nil {
-		t.dyn = make(map[cas.Addr]*dynEntry)
-	}
-	e, ok := t.dyn[fn]
-	if !ok {
-		e = &dynEntry{}
-		t.dyn[fn] = e
-	}
-	return e
+	return memo(&t.dyn, fn)
 }
 
-// cacheItem pairs a cache key with its slot so LRU eviction can delete the
-// map slot from the recency list alone. Exactly one of ref and tab is set,
-// by the key's mode.
-type cacheItem struct {
-	key refKey
-	ref *refEntry
-	tab *dedupTable
+// memo returns the slot for k in *m, creating the map and the slot on first
+// sight. Callers hold the mutex guarding *m.
+func memo[K comparable, V any](m *map[K]*V, k K) *V {
+	if *m == nil {
+		*m = make(map[K]*V)
+	}
+	v, ok := (*m)[k]
+	if !ok {
+		v = new(V)
+		(*m)[k] = v
+	}
+	return v
 }
 
 // RefCache memoizes per-CVE work across images, query modes, goroutines
 // and — when shared — analyzers: reference work (decoded references,
 // first-layer query halves, dynamic profiles) and the content-addressed
-// dedup tables (static scores and candidate validations per function
-// body). Every Analyzer owns an unbounded private one; NewRefCache builds a
-// bounded process-wide instance that can be shared by many analyzers of
-// one model and DB. The resident scan service gives every job the same
-// cache, so a CVE's reference is profiled once per process, not once per
-// job, and a firmware update executes only the bodies no earlier job ran.
+// dedup tables (static scores and candidate validations per function body,
+// plus the CVE's prefilter signature). Every Analyzer owns a private one;
+// the resident scan service gives every job one process-wide cache, so a
+// CVE's reference is profiled and its signature derived once per process,
+// not once per job, and a firmware update executes only the bodies no
+// earlier job ran.
 //
-// Eviction is least-recently-used and affects only work, never results:
-// reference and dedup work is deterministic in its inputs, so recomputing
-// an evicted slot reproduces it exactly. Slots checked out before eviction
-// stay valid — holders keep their pointer; the cache merely forgets the
-// slot. The cache counts no consults: each analyzer counts its own.
+// The zero value is ready to use. Only InvalidateCVE drops slots: at one
+// step limit there is at most one per (CVE, arch, mode) reference and one
+// table per (CVE, arch), so only a table's rows grow. The cache counts no
+// consults: each analyzer counts its own.
 type RefCache struct {
-	mu      sync.Mutex
-	max     int
-	entries map[refKey]*list.Element
-	ll      *list.List // front = most recently used
+	mu     sync.Mutex
+	refs   map[refKey]*refEntry
+	tables map[tableKey]*dedupTable
 }
 
-// NewRefCache returns a bounded reference cache holding at most maxEntries
-// slots — one per (CVE, arch, mode, step limit) reference plus one dedup
-// table per (CVE, arch, step limit); maxEntries <= 0 means unbounded.
-func NewRefCache(maxEntries int) *RefCache {
-	return &RefCache{max: maxEntries}
-}
-
-// slot returns the item for k, creating it (and evicting past the bound)
-// on first sight, and marks it most recently used.
-func (c *RefCache) slot(k refKey) *cacheItem {
+func (c *RefCache) entry(k refKey) *refEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.entries == nil {
-		c.entries = make(map[refKey]*list.Element)
-		c.ll = list.New()
-	}
-	if el, ok := c.entries[k]; ok {
-		c.ll.MoveToFront(el)
-		return el.Value.(*cacheItem)
-	}
-	it := &cacheItem{key: k}
-	if k.mode == tableMode {
-		it.tab = &dedupTable{}
-	} else {
-		it.ref = &refEntry{}
-	}
-	c.entries[k] = c.ll.PushFront(it)
-	for c.max > 0 && len(c.entries) > c.max {
-		back := c.ll.Back()
-		c.ll.Remove(back)
-		delete(c.entries, back.Value.(*cacheItem).key)
-	}
-	return it
+	return memo(&c.refs, k)
 }
-
-func (c *RefCache) entry(k refKey) *refEntry { return c.slot(k).ref }
 
 // table returns the dedup table for (CVE, arch, step limit).
 func (c *RefCache) table(cve, arch string, limit int64) *dedupTable {
-	return c.slot(refKey{cve: cve, arch: arch, mode: tableMode, limit: limit}).tab
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return memo(&c.tables, tableKey{cve: cve, arch: arch, limit: limit})
 }
 
 // InvalidateCVE drops every cached slot for the CVE — its references and
-// its dedup tables with all their score and validation rows — forcing the
-// next consult to recompute. The scan service calls it before retrying a
-// job whose ScanErrors named the CVE: failures memoize permanently (they
-// are deterministic for a fixed environment), so a transient fault — an
-// injected chaos fault, a since-fixed reference file — must be evicted
-// explicitly for a retry to observe the recovered state.
+// its dedup tables with all their score and validation rows and its
+// signature — forcing the next consult to recompute. Holders of a slot
+// checked out before keep their pointer; the cache merely forgets it. The
+// scan service calls it before retrying a job whose ScanErrors named the
+// CVE: failures memoize permanently (they are deterministic for a fixed
+// environment), so a transient fault — an injected chaos fault, a
+// since-fixed reference file — must be evicted explicitly for a retry to
+// observe the recovered state.
 func (c *RefCache) InvalidateCVE(cveID string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for k, el := range c.entries {
+	for k := range c.refs {
 		if k.cve == cveID {
-			c.ll.Remove(el)
-			delete(c.entries, k)
+			delete(c.refs, k)
+		}
+	}
+	for k := range c.tables {
+		if k.cve == cveID {
+			delete(c.tables, k)
 		}
 	}
 }
@@ -241,7 +210,7 @@ func (c *RefCache) InvalidateCVE(cveID string) {
 func (c *RefCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.entries)
+	return len(c.refs) + len(c.tables)
 }
 
 // refcache returns the cache reference work goes through: the process-wide

@@ -165,11 +165,11 @@ type Analyzer struct {
 	// is a miss, never a wrong score.
 	Store *cas.Store
 	// SharedCache, when non-nil, replaces the analyzer's private reference
-	// cache with a process-wide (usually bounded, see NewRefCache) one so
-	// scans by different analyzers — the resident scan service's jobs —
-	// profile each CVE reference once per process and share the dedup
-	// tables: a later job scores and executes only the function bodies no
-	// earlier job did. Every analyzer on one cache must use the same model
+	// cache with a process-wide one so scans by different analyzers — the
+	// resident scan service's jobs — profile each CVE reference and derive
+	// each prefilter signature once per process and share the dedup tables:
+	// a later job scores and executes only the function bodies no earlier
+	// job did. Every analyzer on one cache must use the same model
 	// and DB. Results are byte-identical either way; only warmth varies
 	// (Stats.CacheHits/CacheMisses and the dedup counters, which count this
 	// analyzer's own consults and which Report.Normalize zeroes for
@@ -205,10 +205,6 @@ type Analyzer struct {
 	cache RefCache
 	// consults counts this analyzer's own cache and dedup-table consults.
 	consults consultCounts
-	// sigs memoizes per-(CVE, arch) component signatures for the prefilter;
-	// nil entries memoize failed derivations (degrade, never prune blindly).
-	sigMu sync.Mutex
-	sigs  map[string]*compid.Signature
 }
 
 // NewAnalyzer builds an analyzer from a trained model and a CVE database.

@@ -32,25 +32,18 @@ func (p *PreparedImage) Fingerprint() *compid.Fingerprint {
 	return p.fp
 }
 
-// signatureFor returns the memoized component signature for (CVE, arch),
-// deriving it on first use. A failed derivation memoizes nil: no signature
+// signatureFor returns the component signature for (CVE, arch), derived
+// once per dedup table on the analyzer's reference cache — so analyzers
+// sharing a cache share it. A failed derivation memoizes nil: no signature
 // means the prefilter cannot justify pruning, so callers keep those cells.
 func (a *Analyzer) signatureFor(cveID, arch string) *compid.Signature {
-	a.sigMu.Lock()
-	defer a.sigMu.Unlock()
-	key := cveID + "|" + arch
-	if sig, ok := a.sigs[key]; ok {
-		return sig
-	}
-	var sig *compid.Signature
-	if ar, err := isa.ByName(arch); err == nil {
-		sig, _ = compid.SignatureFor(cveID, ar)
-	}
-	if a.sigs == nil {
-		a.sigs = make(map[string]*compid.Signature)
-	}
-	a.sigs[key] = sig
-	return sig
+	t := a.refcache().table(cveID, arch, a.StepLimit)
+	t.sigOnce.Do(func() {
+		if ar, err := isa.ByName(arch); err == nil {
+			t.sig, _ = compid.SignatureFor(cveID, ar)
+		}
+	})
+	return t.sig
 }
 
 // PrefilterKeep reports whether the component prefilter keeps the

@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cas"
 	"repro/internal/obs"
 )
 
@@ -25,65 +24,31 @@ func normalizedJSON(t *testing.T, r *Report) []byte {
 	return append(raw, '\n')
 }
 
-// TestRefCacheBound pins the LRU bound: a cache bounded at N never holds
-// more than N slots, dedup tables included; evicting a table drops its
-// rows; and a scan through a cache small enough to evict constantly still
-// reproduces the golden bytes.
-func TestRefCacheBound(t *testing.T) {
-	const n = 3
-	c := NewRefCache(n)
-	tab := c.table("CVE-A", "x86", 1)
-	tab.score(scoreKey{mode: QueryVulnerable}).done = true
-	tab.validation(cas.Addr{}).done = true
-	for i, k := range []refKey{
-		{cve: "CVE-B", arch: "x86", mode: QueryVulnerable, limit: 1},
-		{cve: "CVE-B", arch: "x86", mode: QueryPatched, limit: 1},
-		{cve: "CVE-B", arch: "x86", mode: tableMode, limit: 1},
-		{cve: "CVE-C", arch: "x86", mode: QueryVulnerable, limit: 1},
-	} {
-		c.slot(k)
-		if got := c.Len(); got > n {
-			t.Fatalf("after slot %d: Len = %d, bound %d", i, got, n)
-		}
-	}
-	fresh := c.table("CVE-A", "x86", 1)
-	if fresh == tab {
-		t.Fatal("least-recently-used table survived past the bound")
-	}
-	if len(fresh.scores) != 0 || len(fresh.dyn) != 0 {
-		t.Errorf("re-created table kept rows: %d scores, %d validations", len(fresh.scores), len(fresh.dyn))
-	}
-	if got := c.Len(); got != n {
-		t.Errorf("Len = %d after refill, want %d", got, n)
-	}
-
+// TestSharedCacheSharesSignatures pins that the prefilter signature lives
+// on the shared cache: two analyzers on one cache get the same signature
+// for every CVE in the DB, derived once.
+func TestSharedCacheSharesSignatures(t *testing.T) {
 	model, db, fw := goldenFixtures(t)
-	want, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tiny := NewRefCache(2)
-	an := NewAnalyzer(model, db)
-	an.Workers = 4
-	an.SharedCache = tiny
-	report, err := an.ScanFirmware(context.Background(), fw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(normalizedJSON(t, report), want) {
-		t.Error("scan through a 2-slot cache diverges from the golden bytes")
-	}
-	if got := tiny.Len(); got > 2 {
-		t.Errorf("2-slot cache holds %d slots", got)
+	shared := &RefCache{}
+	first, second := NewAnalyzer(model, db), NewAnalyzer(model, db)
+	first.SharedCache, second.SharedCache = shared, shared
+	for _, id := range db.IDs() {
+		sig := first.signatureFor(id, fw.Arch)
+		if sig == nil {
+			t.Fatalf("%s: no signature on %s", id, fw.Arch)
+		}
+		if got := second.signatureFor(id, fw.Arch); got != sig {
+			t.Errorf("%s: second analyzer derived its own signature", id)
+		}
 	}
 }
 
 // TestRefCacheInvalidateCVE pins that InvalidateCVE drops the CVE's
-// reference slots and dedup-table rows, and no other CVE's: after it, a
-// scan on the shared cache recomputes exactly what a cold scan of that CVE
-// alone would, and reuses everything else.
+// reference slots, dedup-table rows and signature, and no other CVE's:
+// after it, a scan on the shared cache recomputes exactly what a cold scan
+// of that CVE alone would, and reuses everything else.
 func TestRefCacheInvalidateCVE(t *testing.T) {
-	c := NewRefCache(0)
+	c := &RefCache{}
 	ref := refKey{cve: "CVE-A", arch: "x86", mode: QueryVulnerable, limit: 1}
 	other := refKey{cve: "CVE-B", arch: "x86", mode: QueryVulnerable, limit: 1}
 	c.entry(ref)
@@ -139,7 +104,7 @@ func TestRefCacheInvalidateCVE(t *testing.T) {
 		t.Fatalf("%s on %s executed nothing; the fixture no longer exercises validation", ids[0], truth.Library)
 	}
 
-	shared := NewRefCache(0)
+	shared := &RefCache{}
 	want := scan(newAnalyzer(shared), ids[0], ids[1])
 	warm := newAnalyzer(shared)
 	if got := scan(warm, ids[0], ids[1]); !reflect.DeepEqual(got, want) {
@@ -149,8 +114,18 @@ func TestRefCacheInvalidateCVE(t *testing.T) {
 		t.Errorf("warm scan recomputed: %d pairs scored, %d executions", d.PairsScored, warm.Obs.Get(obs.CtrExecutions))
 	}
 
+	sigA, sigB := warm.signatureFor(ids[0], fw.Arch), warm.signatureFor(ids[1], fw.Arch)
+	if sigA == nil || sigB == nil {
+		t.Fatalf("no signature for %s or %s on %s", ids[0], ids[1], fw.Arch)
+	}
 	shared.InvalidateCVE(ids[0])
 	after := newAnalyzer(shared)
+	if got := after.signatureFor(ids[0], fw.Arch); got == sigA || !reflect.DeepEqual(got, sigA) {
+		t.Errorf("after InvalidateCVE: %s's signature was not derived again to an equal value", ids[0])
+	}
+	if after.signatureFor(ids[1], fw.Arch) != sigB {
+		t.Errorf("InvalidateCVE(%s) dropped %s's signature", ids[0], ids[1])
+	}
 	if got := scan(after, ids[0], ids[1]); !reflect.DeepEqual(got, want) {
 		t.Error("scans after InvalidateCVE diverge")
 	}
@@ -182,7 +157,7 @@ func TestSharedCacheSkipsCancelledValidation(t *testing.T) {
 	defer cancelExpired()
 
 	for name, dead := range map[string]context.Context{"cancelled": cancelled, "deadline": expired} {
-		shared := NewRefCache(0)
+		shared := &RefCache{}
 		consult := func(ctx context.Context) (*Analyzer, bool) {
 			an := NewAnalyzer(model, db)
 			an.SharedCache = shared
@@ -227,7 +202,7 @@ func TestSharedCacheCountsPerAnalyzer(t *testing.T) {
 	wantRef := want.Stats.CacheHits + want.Stats.CacheMisses
 	wantPairs := lone.DedupCounts().PairsScored + lone.DedupCounts().PairsDeduped
 
-	shared := NewRefCache(0)
+	shared := &RefCache{}
 	const n = 4
 	analyzers := make([]*Analyzer, n)
 	reports := make([]*Report, n)
