@@ -69,10 +69,10 @@ fuzz-smoke:
 # the scan engine, the content-address/delta-store layer, the component
 # prefilter, the dynamic stage with the module's one candidate-validation
 # worker pool, the emulator with the disassembly its predecoded links
-# come from, and the resident scan service. The floor is asserted per
-# package, so a regression in one cannot hide behind the others. CI runs
-# this.
-COVER_PKGS  = ./internal/obs/ ./internal/detector/ ./internal/nn/ ./patchecko/ ./internal/cas/ ./internal/compid/ ./internal/dynamic/ ./internal/emu/ ./internal/disasm/ ./internal/server/
+# come from, the differential verdict engine, and the resident scan
+# service. The floor is asserted per package, so a regression in one
+# cannot hide behind the others. CI runs this.
+COVER_PKGS  = ./internal/obs/ ./internal/detector/ ./internal/nn/ ./patchecko/ ./internal/cas/ ./internal/compid/ ./internal/dynamic/ ./internal/emu/ ./internal/disasm/ ./internal/diffengine/ ./internal/server/
 COVER_FLOOR = 70
 cover:
 	@set -e; for pkg in $(COVER_PKGS); do \

@@ -28,7 +28,6 @@ import (
 	"repro/internal/dynamic"
 	"repro/internal/features"
 	"repro/internal/isa"
-	"repro/internal/obs"
 )
 
 // Signature is the differential signature of one function: CFG topology
@@ -153,9 +152,6 @@ type Inputs struct {
 	VulnSig    Signature
 	PatchedSig Signature
 	TargetSig  Signature
-
-	// Obs receives verdict counters; nil (the default) is the no-op sink.
-	Obs *obs.Metrics
 }
 
 // Weights of the three evidence sources; signatures dominate because
@@ -189,12 +185,6 @@ func Decide(in Inputs) Verdict {
 	v.Confidence = 0.5 + math.Min(math.Abs(score), 1)/2
 	if score == 0 {
 		v.Confidence = 0.5
-	}
-	in.Obs.Add(obs.CtrVerdicts, 1)
-	if v.Patched {
-		in.Obs.Add(obs.CtrVerdictPatched, 1)
-	} else {
-		in.Obs.Add(obs.CtrVerdictVulnerable, 1)
 	}
 	return v
 }

@@ -427,10 +427,14 @@ type Ranked struct {
 // among fully-validated candidates the order is exactly the paper's
 // ascending-distance rule, and partially-profiled candidates follow without
 // ever displacing them.
-func Rank(ref []Profile, cands map[int][]EnvProfile) []Ranked {
+//
+// dist returns candidate idx's distance to the reference: SimilarityEnv
+// against the reference's profiles, computed directly or served from a
+// cache keyed by the candidate's content.
+func Rank(cands map[int][]EnvProfile, dist func(idx int, eps []EnvProfile) float64) []Ranked {
 	out := make([]Ranked, 0, len(cands))
 	for idx, eps := range cands {
-		sim, _ := SimilarityEnv(ref, eps)
+		sim := dist(idx, eps)
 		// Completion is counted over the candidate's own environments, not
 		// the (possibly shorter) comparison window the distance uses.
 		//patchecko:allow determinism sortRanked below imposes a total order (ties by index)

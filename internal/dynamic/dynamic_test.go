@@ -193,7 +193,7 @@ func TestPartialProfilesSurvive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ranked := Rank(ref, profiles)
+	ranked := Rank(profiles, simTo(ref))
 	if ranked[0].Index != solidIdx || ranked[0].Completed != 2 {
 		t.Errorf("top ranked = %+v, want fully-complete candidate %d first", ranked[0], solidIdx)
 	}
@@ -302,7 +302,7 @@ func TestRankFindsTrueMatch(t *testing.T) {
 	if len(survivors) != 3 {
 		t.Fatalf("%d survivors, want 3", len(survivors))
 	}
-	ranked := Rank(refProfiles, profiles)
+	ranked := Rank(profiles, simTo(refProfiles))
 	if tgtDis.Funcs[ranked[0].Index].Name != "target" {
 		t.Errorf("top ranked is %s (sim %v), want target",
 			tgtDis.Funcs[ranked[0].Index].Name, ranked[0].Sim)
@@ -411,5 +411,13 @@ func TestValidateParallelCancelled(t *testing.T) {
 		if len(excl) != 0 {
 			t.Errorf("workers=%d: cancellation recorded as exclusions: %v", workers, excl)
 		}
+	}
+}
+
+// simTo is Rank's distance function for tests: SimilarityEnv against ref.
+func simTo(ref []Profile) func(int, []EnvProfile) float64 {
+	return func(_ int, eps []EnvProfile) float64 {
+		sim, _ := SimilarityEnv(ref, eps)
+		return sim
 	}
 }

@@ -65,6 +65,10 @@ type record struct {
 	Report   *patchecko.Report `json:"report,omitempty"`
 	ErrKind  string            `json:"err_kind,omitempty"`
 	ErrMsg   string            `json:"err_msg,omitempty"`
+
+	// off and n locate the record's line in the current journal file, so
+	// compaction copies the line instead of encoding the record again.
+	off, n int64
 }
 
 // Journal is the append-only JSONL job journal. Safe for concurrent use.
@@ -131,6 +135,7 @@ func openJournal(path string, maxBytes int64, sink *obs.Metrics) (j *Journal, pe
 		if err := json.Unmarshal(line, &rec); err != nil || rec.Job == "" {
 			break
 		}
+		rec.off, rec.n = int64(off), int64(nl+1)
 		off += nl + 1
 		good = off
 		if rec.Seq > j.seq {
@@ -238,7 +243,8 @@ func (j *Journal) writeLocked(rec *record) error {
 	if err := j.f.Sync(); err != nil {
 		return err
 	}
-	j.size += int64(len(data))
+	rec.off, rec.n = j.size, int64(len(data))
+	j.size += rec.n
 	return nil
 }
 
@@ -246,12 +252,14 @@ func (j *Journal) writeLocked(rec *record) error {
 // records plus the retained terminal records, atomically (temp file +
 // rename). Live records always survive; terminal records are dropped oldest
 // first until the rewrite fits half the rotation budget, so report payloads
-// can never crowd out crash-safety or pin the file above its budget. On any
-// failure the original file keeps working — compaction is retried after the
-// next append. Callers hold j.mu.
+// can never crowd out crash-safety or pin the file above its budget. Kept
+// lines are copied from the current file, read once, rather than encoded
+// again. On any failure the original file keeps working — compaction is
+// retried after the next append. Callers hold j.mu.
 func (j *Journal) compactLocked() {
+	raw, _ := os.ReadFile(j.path) // unreadable: every line is encoded afresh
 	liveRecs := sortedBySeq(j.live)
-	liveLines, ok := marshalLines(liveRecs)
+	liveLines, ok := linesOf(raw, liveRecs)
 	if !ok {
 		return
 	}
@@ -260,7 +268,7 @@ func (j *Journal) compactLocked() {
 		size += int64(len(line))
 	}
 	termRecs := sortedBySeq(j.terminal)
-	termLines, ok := marshalLines(termRecs)
+	termLines, ok := linesOf(raw, termRecs)
 	if !ok {
 		return
 	}
@@ -273,6 +281,8 @@ func (j *Journal) compactLocked() {
 		delete(j.terminal, termRecs[keepFrom].Job)
 		keepFrom++
 	}
+	recs := append(liveRecs, termRecs[keepFrom:]...)
+	lines := append(liveLines, termLines[keepFrom:]...)
 
 	tmp, err := os.CreateTemp(filepath.Dir(j.path), "journal-*")
 	if err != nil {
@@ -280,18 +290,10 @@ func (j *Journal) compactLocked() {
 	}
 	w := bufio.NewWriter(tmp)
 	ok = true
-	for _, line := range liveLines {
+	for _, line := range lines {
 		if _, err := w.Write(line); err != nil {
 			ok = false
 			break
-		}
-	}
-	if ok {
-		for _, line := range termLines[keepFrom:] {
-			if _, err := w.Write(line); err != nil {
-				ok = false
-				break
-			}
 		}
 	}
 	if ok {
@@ -308,6 +310,11 @@ func (j *Journal) compactLocked() {
 		os.Remove(tmp.Name())
 		return
 	}
+	var off int64
+	for i, rec := range recs {
+		rec.off, rec.n = off, int64(len(lines[i]))
+		off += rec.n
+	}
 	f, err := os.OpenFile(j.path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		// The compacted file is in place but unappendable; keep the old
@@ -321,10 +328,22 @@ func (j *Journal) compactLocked() {
 	j.size = size
 }
 
-// marshalLines renders records as newline-terminated JSONL lines.
-func marshalLines(recs []*record) ([][]byte, bool) {
+// linesOf renders records as newline-terminated JSONL lines. A record's
+// line is copied from raw, the journal file as compaction read it, when its
+// recorded span there is one whole line opening with the record's kind and
+// seq; otherwise — a torn append shifts every later record's span — the
+// record is encoded afresh.
+func linesOf(raw []byte, recs []*record) ([][]byte, bool) {
 	lines := make([][]byte, len(recs))
 	for i, rec := range recs {
+		if end := rec.off + rec.n; rec.n > 0 && end <= int64(len(raw)) {
+			line := raw[rec.off:end]
+			if (rec.off == 0 || raw[rec.off-1] == '\n') && bytes.IndexByte(line, '\n') == len(line)-1 &&
+				bytes.HasPrefix(line, fmt.Appendf(nil, `{"kind":%q,"seq":%d,`, rec.Kind, rec.Seq)) {
+				lines[i] = line
+				continue
+			}
+		}
 		data, err := json.Marshal(rec)
 		if err != nil {
 			return nil, false

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -156,13 +157,51 @@ func TestJournalCompaction(t *testing.T) {
 		t.Fatalf("journal never compacted: %d bytes on disk", info.Size())
 	}
 	j.Close()
-	_, pending, _, err := openJournal(path, 512, nil)
+	// Reopen under a roomy budget so only the explicit compactions below run.
+	re, pending, _, err := openJournal(path, 1<<20, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer re.Close()
 	if len(pending) != 2 || pending[0].Job != "job-live-1" || pending[1].Job != "job-live-2" {
 		t.Fatalf("post-compaction replay = %v, want the two live jobs in order", pending)
 	}
+
+	// Compaction copies kept lines instead of encoding them again, so the
+	// compacted file must be byte for byte the fresh encoding of the kept
+	// records: for lines located at replay, lines appended since, and lines
+	// appended after a torn write, whose recorded spans no longer match the
+	// file and must fall back to encoding.
+	compacted := func(phase string) {
+		t.Helper()
+		re.mu.Lock()
+		re.compactLocked()
+		var want []byte
+		for _, rec := range append(sortedBySeq(re.live), sortedBySeq(re.terminal)...) {
+			data, err := json.Marshal(rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(append(want, data...), '\n')
+		}
+		re.mu.Unlock()
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: compacted journal differs from its records' encoding:\n got %q\nwant %q", phase, got, want)
+		}
+	}
+	re.appendRecord(&record{Kind: recDone, Job: "job-live-1", Tenant: "t", Attempts: 2, ErrKind: "x", ErrMsg: "y"})
+	if _, err := re.f.Write([]byte(`{"kind":"submitted","seq":`)); err != nil {
+		t.Fatal(err)
+	}
+	re.append(recSubmitted, "job-live-3", testSub("t"))
+	re.append(recSubmitted, "job-live-4", testSub("t"))
+	compacted("after a torn append")
+	re.append(recSubmitted, "job-live-5", testSub("t"))
+	compacted("after a second compaction")
 }
 
 // TestJournalTerminalRetention pins the finished-job replay contract at the

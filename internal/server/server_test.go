@@ -320,10 +320,12 @@ func TestServedReportMatchesGolden(t *testing.T) {
 
 // TestRescanSharesDedupTables pins cross-job reuse: every job runs on the
 // server's one reference cache, so a job scanning firmware an earlier job
-// already scanned executes nothing and still serves the golden bytes. Two
-// concurrent submissions of the same firmware single-flight each
-// execution between them: together they execute exactly what one cold job
-// does.
+// already scanned executes nothing and still serves the golden bytes.
+// After InvalidateCVE drops one CVE's references and dedup rows (profiles,
+// distances, verdicts), a resubmitted job recomputes that CVE alone and
+// still serves the golden bytes. Two concurrent submissions of the same
+// firmware single-flight each execution between them: together they
+// execute exactly what one cold job does.
 func TestRescanSharesDedupTables(t *testing.T) {
 	executions := func(s *Server, id string) int64 { return s.lookup(id).sink.Get(obs.CtrExecutions) }
 	golden := func(s *Server, id string) {
@@ -349,6 +351,14 @@ func TestRescanSharesDedupTables(t *testing.T) {
 	}
 	if got := executions(s, second); got != 0 {
 		t.Errorf("rescan executed %d times, want 0", got)
+	}
+	_, db, _ := fixtures(t)
+	s.cache.InvalidateCVE(db.IDs()[0])
+	third := submit(t, s, goldenSubmission(t))
+	golden(s, third)
+	if got := executions(s, third); got == 0 || got >= cold {
+		t.Errorf("rescan after invalidating %s executed %d times, want some but fewer than the cold job's %d",
+			db.IDs()[0], got, cold)
 	}
 
 	cfg = baseConfig(t)

@@ -7,14 +7,19 @@
 // sharing one cache share them too.
 //
 // Sharing is sound because equal content addresses imply bit-identical
-// behavior for everything the shared results capture (see internal/cas):
-// the static feature vector is folded into the address, so static scores
-// match bit for bit; instruction streams, resolved-call structure and
-// reachable rodata are folded in, so dynamic profiles and trap messages
-// match under every execution environment and step limit. Per-occurrence
-// accounting (candidate lists, exclusion records, validation counters) is
-// kept per cell, which is what makes reports byte-identical to scoring and
-// validating every (function, CVE) pair independently.
+// behavior for everything the shared results capture (see internal/cas).
+// The content address folds in the body's instructions, its resolved-call
+// closure and its static vector (and reachable rodata), so equal addresses
+// give equal profiles and trap messages under every execution environment
+// and step limit, equal static vectors and so bit-identical static scores,
+// and equal diffengine.SigOf values, since SigOf reads only the function's
+// own instructions and blocks. That is why a validation row also holds the
+// body's ranking distances and differential verdict: everything else they
+// read depends on the CVE alone. Exploit replay keys on the target's
+// address and stays per occurrence, as does per-occurrence accounting
+// (candidate lists, exclusion records, validation and verdict counters),
+// which is what makes reports byte-identical to scoring, validating and
+// deciding every (function, CVE) pair independently.
 //
 // One caveat, relevant only to tests: fault injection keyed on an image
 // name (faultinject.ExecTrap on a candidate image) deliberately breaks the
@@ -174,19 +179,25 @@ func (a *Analyzer) sharedScore(t *dedupTable, cve string, k scoreKey, i int, com
 // each candidate's profiling is single-flighted by content address in the
 // CVE's dedup table, so a body duplicated across cells, images and — on a
 // shared cache — jobs executes once per (CVE, step limit). Classification
-// and its counters stay per occurrence.
+// and its counters stay per occurrence. rows[i] is candidate i's dedup row,
+// which the ranking and the verdict read next.
 func (a *Analyzer) dedupValidate(ctx context.Context, p *PreparedImage, entry *vulndb.Entry,
-	cands []detector.Candidate, candFuncs []*disasm.Function, envs []*minic.Env, workers int) ([]int, map[int][]EnvProfile, map[int]error) {
+	cands []detector.Candidate, candFuncs []*disasm.Function, envs []*minic.Env, workers int) (
+	survivors []int, profiles map[int][]EnvProfile, excluded map[int]error, rows []*dynEntry) {
 	t := a.refcache().table(entry.ID, p.Image.Arch, a.StepLimit)
-	survivors, profiles, excluded := dynamic.ValidateWith(ctx, len(cands), workers, func(i int) dynamic.ProfileOutcome {
-		return a.sharedProfile(ctx, p.Dis, candFuncs[i], t.validation(p.CAS[cands[i].Index]), envs)
+	rows = make([]*dynEntry, len(cands))
+	for i, c := range cands {
+		rows[i] = t.validation(p.CAS[c.Index])
+	}
+	survivors, profiles, excluded = dynamic.ValidateWith(ctx, len(cands), workers, func(i int) dynamic.ProfileOutcome {
+		return a.sharedProfile(ctx, p.Dis, candFuncs[i], rows[i], envs)
 	}, a.Obs)
 	// Unalias the memoized profile slices before they are published on a
 	// CVEScan: several cells may share one outcome.
 	for idx, eps := range profiles {
 		profiles[idx] = append([]dynamic.EnvProfile(nil), eps...)
 	}
-	return survivors, profiles, excluded
+	return survivors, profiles, excluded, rows
 }
 
 // sharedProfile profiles one candidate through its dedup-table row e. An
@@ -208,4 +219,19 @@ func (a *Analyzer) sharedProfile(ctx context.Context, dis *disasm.Disassembly, f
 	}
 	e.done, e.eps, e.err, e.panicked = true, r.Profiles, r.Err, r.Panicked
 	return r
+}
+
+// distance returns the body's ranking distance to query mode's reference
+// profiles ref, computing it from the body's profiles eps on first need.
+// Equal content addresses give equal profiles, so whichever cell computes
+// it computes the same value.
+func (e *dynEntry) distance(mode QueryMode, ref []dynamic.Profile, eps []dynamic.EnvProfile) float64 {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	m := mode - QueryVulnerable
+	if !e.simDone[m] {
+		e.sim[m], _ = dynamic.SimilarityEnv(ref, eps)
+		e.simDone[m] = true
+	}
+	return e.sim[m]
 }

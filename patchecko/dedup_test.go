@@ -5,13 +5,17 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"os"
 	"reflect"
 	"testing"
 
 	"repro/internal/binimg"
 	"repro/internal/cas"
+	"repro/internal/diffengine"
 	"repro/internal/disasm"
 	"repro/internal/dynamic"
+	"repro/internal/features"
+	"repro/internal/vulndb"
 )
 
 // dedupFleet builds the delta-scan fixture: the seed-42 firmware plus a
@@ -249,30 +253,8 @@ func TestDedupOffMatchesOn(t *testing.T) {
 func scanCellsAgainstOracle(t *testing.T, model *Model, db *DB, fw *Firmware) map[int]DedupCounts {
 	t.Helper()
 	ctx := context.Background()
-	prepared, err := PrepareImages(ctx, fw.Images, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	type cell struct {
-		p    *PreparedImage
-		cve  string
-		mode QueryMode
-	}
 	keep := NewAnalyzer(model, db)
-	var cells []cell
-	for _, p := range prepared {
-		for _, id := range db.IDs() {
-			if keep.PrefilterKeep(p, id) {
-				for _, mode := range []QueryMode{QueryVulnerable, QueryPatched} {
-					cells = append(cells, cell{p, id, mode})
-				}
-			}
-		}
-	}
-	if len(cells) == 0 {
-		t.Fatal("prefilter kept no cells")
-	}
-
+	cells := keptCells(t, keep, fw)
 	oracles := make([]*CVEScan, len(cells))
 	for i, c := range cells {
 		oracles[i] = everyPairScan(t, keep, c.p, c.cve, c.mode)
@@ -292,6 +274,167 @@ func scanCellsAgainstOracle(t *testing.T, model *Model, db *DB, fw *Firmware) ma
 		counts[workers] = an.DedupCounts()
 	}
 	return counts
+}
+
+// cell is one (image, CVE, query mode) cell of a scan grid.
+type cell struct {
+	p    *PreparedImage
+	cve  string
+	mode QueryMode
+}
+
+// keptCells prepares fw's images and lists every cell an's prefilter keeps,
+// in grid order.
+func keptCells(t *testing.T, an *Analyzer, fw *Firmware) []cell {
+	t.Helper()
+	prepared, err := PrepareImages(context.Background(), fw.Images, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cells []cell
+	for _, p := range prepared {
+		for _, id := range an.db.IDs() {
+			if an.PrefilterKeep(p, id) {
+				for _, mode := range []QueryMode{QueryVulnerable, QueryPatched} {
+					cells = append(cells, cell{p, id, mode})
+				}
+			}
+		}
+	}
+	if len(cells) == 0 {
+		t.Fatal("prefilter kept no cells")
+	}
+	return cells
+}
+
+// TestMemoizedRankAndVerdictMatchFresh is the oracle for the ranking
+// distances and verdicts memoized on dedup rows. The golden fixture is
+// scanned twice on one shared cache, at Workers 1 and then 4, so the second
+// scan is served from warm rows; after each firmware scan every kept cell is
+// scanned alone through ScanImage on the same cache. Every matched cell,
+// and every matched result of both reports, must carry the ranking
+// dynamic.Rank computes with SimilarityEnv from the cell's own published
+// RefProfiles and SurvivorProfiles, and the verdict diffengine.Decide
+// reaches on freshly extracted static vectors and signatures. Both reports
+// keep the golden bytes.
+func TestMemoizedRankAndVerdictMatchFresh(t *testing.T) {
+	model, db, fw := goldenFixtures(t)
+	golden, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	keep := NewAnalyzer(model, db)
+	cells := keptCells(t, keep, fw)
+	images := make(map[string]*PreparedImage)
+	for _, c := range cells {
+		images[c.p.Image.LibName] = c.p
+	}
+
+	// fresh holds a CVE's vulnerable and patched references, in that order,
+	// with profiles derived outside any analyzer cache.
+	type fresh struct {
+		refs  [2]*vulndb.Ref
+		profs [2][]Profile
+	}
+	refs := make(map[string]*fresh)
+	freshRefs := func(cveID, arch string) *fresh {
+		t.Helper()
+		if f, ok := refs[cveID]; ok {
+			return f
+		}
+		entry, _ := db.Get(cveID)
+		f := &fresh{}
+		for k, mode := range []QueryMode{QueryVulnerable, QueryPatched} {
+			ref, err := refFor(entry, arch, mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prof, err := profileReference(ctx, ref, entry.Environments(), dynamic.Exec{Steps: keep.StepLimit})
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.refs[k], f.profs[k] = ref, prof
+		}
+		refs[cveID] = f
+		return f
+	}
+
+	matched := 0
+	check := func(label string, scan *CVEScan) {
+		t.Helper()
+		if scan == nil || !scan.Matched {
+			return
+		}
+		matched++
+		cands := make(map[int][]EnvProfile)
+		for i, addr := range scan.CandidateAddr {
+			if eps, ok := scan.SurvivorProfiles[addr]; ok {
+				cands[i] = eps
+			}
+		}
+		var ranking []RankedMatch
+		for _, r := range dynamic.Rank(cands, func(_ int, eps []EnvProfile) float64 {
+			sim, _ := dynamic.SimilarityEnv(scan.RefProfiles, eps)
+			return sim
+		}) {
+			ranking = append(ranking, RankedMatch{Addr: scan.CandidateAddr[r.Index], Sim: r.Sim, Completed: r.Completed, Envs: r.Envs})
+		}
+		if !reflect.DeepEqual(scan.Ranking, ranking) {
+			t.Errorf("%s: ranking %+v, want %+v recomputed from the published profiles", label, scan.Ranking, ranking)
+		}
+
+		p := images[scan.Library]
+		var target *disasm.Function
+		for _, fn := range p.Dis.Funcs {
+			if fn.Addr == scan.Match.Addr {
+				target = fn
+			}
+		}
+		f := freshRefs(scan.CVE, p.Image.Arch)
+		want := diffengine.Decide(diffengine.Inputs{
+			VulnStatic:      f.refs[0].StaticVec(),
+			PatchedStatic:   f.refs[1].StaticVec(),
+			TargetStatic:    features.Extract(p.Dis, target),
+			VulnProfiles:    f.profs[0],
+			PatchedProfiles: f.profs[1],
+			TargetProfiles:  dynamic.Vectors(scan.SurvivorProfiles[scan.Match.Addr]),
+			VulnSig:         diffengine.SigOf(f.refs[0].Fn),
+			PatchedSig:      diffengine.SigOf(f.refs[1].Fn),
+			TargetSig:       diffengine.SigOf(target),
+		})
+		if !reflect.DeepEqual(scan.Verdict, want) {
+			t.Errorf("%s: verdict %+v, want %+v decided afresh", label, scan.Verdict, want)
+		}
+	}
+
+	shared := &RefCache{}
+	for _, workers := range []int{1, 4} {
+		an := NewAnalyzer(model, db)
+		an.Workers = workers
+		an.SharedCache = shared
+		report, err := an.ScanFirmware(ctx, fw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range db.IDs() {
+			check(fmt.Sprintf("workers=%d report %s", workers, id), report.Results[id])
+		}
+		if !bytes.Equal(normalizedJSON(t, report), golden) {
+			t.Errorf("workers=%d: report bytes diverge from golden", workers)
+		}
+		for _, c := range cells {
+			scan, err := an.ScanImage(ctx, c.p, c.cve, c.mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(fmt.Sprintf("workers=%d cell %s/%s/%v", workers, c.p.Image.LibName, c.cve, c.mode), scan)
+		}
+	}
+	if matched == 0 {
+		t.Fatal("no matched cell; the oracle is vacuous")
+	}
+	t.Logf("%d matched cells checked", matched)
 }
 
 // checkOracle compares the CVEScan fields the static and validation stages

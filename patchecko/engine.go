@@ -23,8 +23,10 @@ import (
 	"repro/internal/cas"
 	"repro/internal/compid"
 	"repro/internal/detector"
+	"repro/internal/diffengine"
 	"repro/internal/dynamic"
 	"repro/internal/faultinject"
+	"repro/internal/features"
 	"repro/internal/minic"
 	"repro/internal/obs"
 	"repro/internal/vulndb"
@@ -58,7 +60,7 @@ type refEntry struct {
 	mu sync.Mutex
 
 	refDone bool
-	ref     *vulndb.Ref
+	ref     refEvidence
 	refErr  error
 
 	// qh caches the reference static vector's first-layer halves for the
@@ -72,11 +74,24 @@ type refEntry struct {
 	profErr  error
 }
 
-// resolveRefLocked decodes and disassembles the reference once per entry.
-// Callers hold e.mu.
-func (e *refEntry) resolveRefLocked(entry *vulndb.Entry, arch string, mode QueryMode) (*vulndb.Ref, error) {
+// refEvidence is a decoded reference plus what the static stage and the
+// differential verdict read from it: its static feature vector and its
+// differential signature, both derived once per entry.
+type refEvidence struct {
+	*vulndb.Ref
+	vec features.Vector
+	sig diffengine.Signature
+}
+
+// resolveRefLocked decodes and disassembles the reference and derives its
+// evidence once per entry. Callers hold e.mu.
+func (e *refEntry) resolveRefLocked(entry *vulndb.Entry, arch string, mode QueryMode) (refEvidence, error) {
 	if !e.refDone {
-		e.ref, e.refErr = refFor(entry, arch, mode)
+		ref, err := refFor(entry, arch, mode)
+		if err == nil {
+			e.ref = refEvidence{Ref: ref, vec: ref.StaticVec(), sig: diffengine.SigOf(ref.Fn)}
+		}
+		e.refErr = err
 		e.refDone = true
 	}
 	return e.ref, e.refErr
@@ -98,20 +113,29 @@ type scoreEntry struct {
 	score float64
 }
 
-// dynEntry memoizes one candidate-validation outcome under a single-flight
-// mutex.
+// dynEntry memoizes what a CVE concludes about one function body, under a
+// single-flight mutex: its validation outcome, its ranking distance to
+// each query mode's reference, and the differential verdict when the body
+// tops a ranking. The distance and the verdict are computed on first need.
 type dynEntry struct {
 	mu       sync.Mutex
 	done     bool
-	eps      []dynamic.EnvProfile
-	err      error
 	panicked bool
+	// sim[m-QueryVulnerable] is the distance to query mode m's reference
+	// profiles once simDone[m-QueryVulnerable] is set.
+	simDone [2]bool
+	eps     []dynamic.EnvProfile
+	err     error
+	sim     [2]float64
+	// verdict is nil until the body tops a ranking; most rows never do.
+	verdict *diffengine.Verdict
 }
 
 // dedupTable is one (CVE, arch, step limit)'s content-addressed dedup
-// rows: static scores keyed by (mode, body) and validation outcomes keyed
-// by body alone — environments depend only on the CVE, so vulnerable- and
-// patched-mode cells share one execution. Its row count grows with the
+// rows: static scores keyed by (mode, body) and validation rows keyed by
+// body alone — environments depend only on the CVE, so vulnerable- and
+// patched-mode cells share one execution, and the row also holds the
+// body's ranking distances and verdict. Its row count grows with the
 // distinct bodies that reached the CVE. The table also carries the CVE's
 // component signature for the prefilter, derived once on first use.
 type dedupTable struct {
@@ -150,14 +174,15 @@ func memo[K comparable, V any](m *map[K]*V, k K) *V {
 }
 
 // RefCache memoizes per-CVE work across images, query modes, goroutines
-// and — when shared — analyzers: reference work (decoded references,
-// first-layer query halves, dynamic profiles) and the content-addressed
-// dedup tables (static scores and candidate validations per function body,
+// and — when shared — analyzers: reference work (decoded references with
+// their static vectors and signatures, first-layer query halves, dynamic
+// profiles) and the content-addressed dedup tables (static scores,
+// candidate validations, ranking distances and verdicts per function body,
 // plus the CVE's prefilter signature). Every Analyzer owns a private one;
 // the resident scan service gives every job one process-wide cache, so a
 // CVE's reference is profiled and its signature derived once per process,
-// not once per job, and a firmware update executes only the bodies no
-// earlier job ran.
+// not once per job, and a firmware update executes, ranks and decides only
+// the bodies no earlier job did.
 //
 // The zero value is ready to use. Only InvalidateCVE drops slots: at one
 // step limit there is at most one per (CVE, arch, mode) reference and one
@@ -183,14 +208,14 @@ func (c *RefCache) table(cve, arch string, limit int64) *dedupTable {
 }
 
 // InvalidateCVE drops every cached slot for the CVE — its references and
-// its dedup tables with all their score and validation rows and its
-// signature — forcing the next consult to recompute. Holders of a slot
-// checked out before keep their pointer; the cache merely forgets it. The
-// scan service calls it before retrying a job whose ScanErrors named the
-// CVE: failures memoize permanently (they are deterministic for a fixed
-// environment), so a transient fault — an injected chaos fault, a
-// since-fixed reference file — must be evicted explicitly for a retry to
-// observe the recovered state.
+// its dedup tables with all their score and validation rows (distances and
+// verdicts included) and its signature — forcing the next consult to
+// recompute. Holders of a slot checked out before keep their pointer; the
+// cache merely forgets it. The scan service calls it before retrying a job
+// whose ScanErrors named the CVE: failures memoize permanently (they are
+// deterministic for a fixed environment), so a transient fault — an
+// injected chaos fault, a since-fixed reference file — must be evicted
+// explicitly for a retry to observe the recovered state.
 func (c *RefCache) InvalidateCVE(cveID string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -222,10 +247,11 @@ func (a *Analyzer) refcache() *RefCache {
 	return &a.cache
 }
 
-// cachedRef returns the decoded reference for (CVE, arch, mode), computed
-// once per analyzer. Decoding is cheap next to profiling, so it is memoized
-// without touching the hit/miss counters.
-func (a *Analyzer) cachedRef(entry *vulndb.Entry, arch string, mode QueryMode) (*vulndb.Ref, error) {
+// cachedRef returns the decoded reference for (CVE, arch, mode) with its
+// static vector and signature, computed once per cache slot. Decoding is
+// cheap next to profiling, so it is memoized without touching the hit/miss
+// counters.
+func (a *Analyzer) cachedRef(entry *vulndb.Entry, arch string, mode QueryMode) (refEvidence, error) {
 	e := a.refcache().entry(refKey{cve: entry.ID, arch: arch, mode: mode, limit: a.StepLimit})
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -245,7 +271,7 @@ func (a *Analyzer) cachedQueryHalves(entry *vulndb.Entry, arch string, mode Quer
 		return nil, err
 	}
 	if !e.qhDone {
-		e.qh = a.model.PrepareQuery(ref.StaticVec())
+		e.qh = a.model.PrepareQuery(ref.vec)
 		e.qhDone = true
 	}
 	return e.qh, nil
@@ -273,7 +299,7 @@ func (a *Analyzer) cachedRefProfiles(ctx context.Context, entry *vulndb.Entry, a
 		e.profDone, e.profErr = true, err
 		return nil, err
 	}
-	profiles, err := profileReference(ctx, ref, envs, a.exec())
+	profiles, err := profileReference(ctx, ref.Ref, envs, a.exec())
 	if err != nil && ctx.Err() != nil {
 		// The context ended the run. Its deadline can surface as a budget
 		// trap inside an execution rather than as a context error, so the

@@ -262,12 +262,15 @@ func TestScanMetricsConsistency(t *testing.T) {
 		// Counters vs the event stream: pairs scored must equal the sum of
 		// per-cell pair counts, and cell/exclusion events must match their
 		// counters one-to-one.
-		var evPairs, evCells, evExcluded, evPruned int64
+		var evPairs, evCells, evMatched, evExcluded, evPruned int64
 		for _, ev := range sink.Events() {
 			switch ev.Kind {
 			case obs.EvCellCompleted:
 				evCells++
 				evPairs += int64(ev.Pairs)
+				if ev.Matched {
+					evMatched++
+				}
 			case obs.EvCandidateExcluded:
 				evExcluded++
 			case obs.EvPrefilter:
@@ -288,6 +291,11 @@ func TestScanMetricsConsistency(t *testing.T) {
 		}
 		if got := sink.Get(obs.CtrCellsCompleted); got != evCells {
 			t.Errorf("workers=%d: cells_completed = %d, want %d cell events", workers, got, evCells)
+		}
+		// Verdicts count once per matched cell, including cells whose
+		// verdict a dedup row had already decided.
+		if got := sink.Get(obs.CtrVerdicts); got != evMatched || evMatched == 0 {
+			t.Errorf("workers=%d: verdicts = %d, want %d matched cells (and more than 0)", workers, got, evMatched)
 		}
 		if got := sink.Get(obs.CtrCandidatesExcluded); got != evExcluded {
 			t.Errorf("workers=%d: candidates_excluded = %d, want %d exclusion events", workers, got, evExcluded)

@@ -447,7 +447,7 @@ func (a *Analyzer) scanImage(ctx context.Context, p *PreparedImage, cveID string
 	for i, c := range cands {
 		candFuncs[i] = p.Dis.Funcs[c.Index]
 	}
-	survivors, profiles, excluded := a.dedupValidate(ctx, p, entry, cands, candFuncs, envs, validateWorkers)
+	survivors, profiles, excluded, rows := a.dedupValidate(ctx, p, entry, cands, candFuncs, envs, validateWorkers)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -475,7 +475,11 @@ func (a *Analyzer) scanImage(ctx context.Context, p *PreparedImage, cveID string
 			scan.NumPartial++
 		}
 	}
-	ranked := dynamic.Rank(refProfiles, profiles)
+	// Distances are memoized on each body's dedup row: a body ranked
+	// against this reference before is not compared again.
+	ranked := dynamic.Rank(profiles, func(i int, eps []EnvProfile) float64 {
+		return rows[i].distance(mode, refProfiles, eps)
+	})
 	for _, r := range ranked {
 		scan.Ranking = append(scan.Ranking, RankedMatch{
 			Addr:      candFuncs[r.Index].Addr,
@@ -503,14 +507,20 @@ func (a *Analyzer) scanImage(ctx context.Context, p *PreparedImage, cveID string
 	}
 	scan.Matched = true
 	scan.Match = scan.Ranking[0]
-	topFn := candFuncs[top.Index]
 	sw = obs.StartStopwatch()
-	verdict, err := a.patchVerdict(ctx, entry, arch, p, topFn, dynamic.Vectors(profiles[top.Index]), envs)
+	verdict, err := a.patchVerdict(ctx, entry, arch, p, cands[top.Index].Index, rows[top.Index], profiles[top.Index], envs)
 	a.Obs.AddStage(obs.StageDifferential, sw.Elapsed())
 	if err != nil {
 		return nil, err
 	}
 	scan.Verdict = verdict
+	// Counted per matched cell, whether the row decided now or earlier.
+	a.Obs.Add(obs.CtrVerdicts, 1)
+	if verdict.Patched {
+		a.Obs.Add(obs.CtrVerdictPatched, 1)
+	} else {
+		a.Obs.Add(obs.CtrVerdictVulnerable, 1)
+	}
 	return scan, nil
 }
 
@@ -519,12 +529,16 @@ func (a *Analyzer) exec() dynamic.Exec {
 	return dynamic.Exec{Steps: a.StepLimit, Obs: a.Obs}
 }
 
-// patchVerdict runs the differential engine on a matched target function.
-// Both reference versions and their profiles come from the analyzer's cache,
-// so across a firmware scan they are computed once per CVE — the same cache
-// entries also serve the query side of vulnerable- and patched-mode scans.
+// patchVerdict runs the differential engine on the matched target function
+// p.Dis.Funcs[ti], whose dedup row is row and whose profiles are eps. Both
+// reference versions, their static vectors, signatures and profiles come
+// from the analyzer's cache, so across a firmware scan they are derived
+// once per CVE, and the target's static vector is the one Prepare
+// extracted. The decision reads only the references and the target's body,
+// so the row makes it once; exploit replay keys on the target's address
+// and runs per occurrence after it.
 func (a *Analyzer) patchVerdict(ctx context.Context, entry *vulndb.Entry, arch string, p *PreparedImage,
-	target *disasm.Function, targetProfiles []dynamic.Profile, envs []*minic.Env) (Verdict, error) {
+	ti int, row *dynEntry, eps []EnvProfile, envs []*minic.Env) (Verdict, error) {
 	vref, err := a.cachedRef(entry, arch, QueryVulnerable)
 	if err != nil {
 		return Verdict{}, &refError{err}
@@ -547,18 +561,24 @@ func (a *Analyzer) patchVerdict(ctx context.Context, entry *vulndb.Entry, arch s
 		}
 		return Verdict{}, &refError{fmt.Errorf("patchecko: %s: patched ref: %w", entry.ID, err)}
 	}
-	verdict := diffengine.Decide(diffengine.Inputs{
-		VulnStatic:      vref.StaticVec(),
-		PatchedStatic:   pref.StaticVec(),
-		TargetStatic:    features.Extract(p.Dis, target),
-		VulnProfiles:    vp,
-		PatchedProfiles: pp,
-		TargetProfiles:  targetProfiles,
-		VulnSig:         diffengine.SigOf(vref.Fn),
-		PatchedSig:      diffengine.SigOf(pref.Fn),
-		TargetSig:       diffengine.SigOf(target),
-		Obs:             a.Obs,
-	})
+	target := p.Dis.Funcs[ti]
+	row.mu.Lock()
+	if row.verdict == nil {
+		v := diffengine.Decide(diffengine.Inputs{
+			VulnStatic:      vref.vec,
+			PatchedStatic:   pref.vec,
+			TargetStatic:    p.Vecs[ti],
+			VulnProfiles:    vp,
+			PatchedProfiles: pp,
+			TargetProfiles:  dynamic.Vectors(eps),
+			VulnSig:         vref.sig,
+			PatchedSig:      pref.sig,
+			TargetSig:       diffengine.SigOf(target),
+		})
+		row.verdict = &v
+	}
+	verdict := *row.verdict
+	row.mu.Unlock()
 	if a.ExploitReplay && verdict.Confidence < 0.75 {
 		vulnExec := diffengine.Exec{Dis: vref.Dis, Fn: vref.Fn}
 		patchedExec := diffengine.Exec{Dis: pref.Dis, Fn: pref.Fn}
