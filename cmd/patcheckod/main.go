@@ -1,6 +1,8 @@
 // Command patcheckod is the resident scan service: a long-lived HTTP/JSON
 // daemon over the patchecko engine with admission control, retry/backoff,
-// load shedding and a crash-safe job journal (see internal/server).
+// per-job deadlines and a crash-safe job journal (see internal/server). Each
+// job runs exactly the scan its submission asks for: the full pipeline, or
+// the static stage alone when it sets static_only.
 //
 // Start it:
 //
@@ -53,14 +55,12 @@ func run() (err error) {
 		queueDepth  = fs.Int("queue-depth", 64, "admission queue bound; submissions beyond it get a typed 429")
 		workers     = fs.Int("workers", 2, "job worker pool size (<0 = admit-only: journal jobs, run nothing)")
 		scanWorkers = fs.Int("scan-workers", runtime.NumCPU(), "engine parallelism within one job (results identical at any count)")
-		perTenant   = fs.Int("per-tenant", 0, "per-tenant in-flight job cap (0 = unlimited)")
 
 		retryBudget = fs.Int("retry-budget", 2, "re-attempts allowed per job for retryable scan errors")
 		retryBase   = fs.Duration("retry-base", 100*time.Millisecond, "first retry backoff (doubles per attempt, ±50% jitter)")
 		retryMax    = fs.Duration("retry-max", 5*time.Second, "retry backoff cap")
 
-		deadline = fs.Duration("deadline", 0, "per-job wall-clock bound (0 = none); the last quarter degrades to static-only")
-		shed     = fs.Float64("shed", 0, "queue fraction in (0,1] beyond which jobs degrade to static-only (0 = off)")
+		deadline = fs.Duration("deadline", 0, "per-job wall-clock bound (0 = none); a job still running at it fails with \"deadline\"")
 
 		journal = fs.String("journal", "", "crash-safe job journal path (empty = in-memory only, no resume)")
 
@@ -96,18 +96,16 @@ func run() (err error) {
 	}
 
 	cfg := server.Config{
-		Model:         model,
-		DB:            db,
-		QueueDepth:    *queueDepth,
-		Workers:       *workers,
-		ScanWorkers:   *scanWorkers,
-		PerTenant:     *perTenant,
-		RetryBudget:   *retryBudget,
-		RetryBase:     *retryBase,
-		RetryMax:      *retryMax,
-		JobDeadline:   *deadline,
-		ShedThreshold: *shed,
-		JournalPath:   *journal,
+		Model:       model,
+		DB:          db,
+		QueueDepth:  *queueDepth,
+		Workers:     *workers,
+		ScanWorkers: *scanWorkers,
+		RetryBudget: *retryBudget,
+		RetryBase:   *retryBase,
+		RetryMax:    *retryMax,
+		JobDeadline: *deadline,
+		JournalPath: *journal,
 	}
 	if *storeDir != "" {
 		store, serr := cas.Open(*storeDir, obs.ModelHash(rawModel), *storeMax)

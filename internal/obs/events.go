@@ -32,7 +32,6 @@ const (
 	EvJobQueued  // the submission was admitted into the job queue
 	EvJobStarted // a worker picked the job up (one per attempt)
 	EvJobRetried // a retryable attempt failed; backing off before the next
-	EvJobShed    // the job was degraded to the static-only pipeline
 	EvJobResumed // the job was re-enqueued from the journal after a restart
 	EvJobDone    // the job terminated (State says how)
 )
@@ -48,7 +47,6 @@ var eventNames = map[EventKind]string{
 	EvJobQueued:         "job_queued",
 	EvJobStarted:        "job_started",
 	EvJobRetried:        "job_retried",
-	EvJobShed:           "job_shed",
 	EvJobResumed:        "job_resumed",
 	EvJobDone:           "job_done",
 }
@@ -125,19 +123,26 @@ type Event struct {
 }
 
 // ring is a bounded overwrite-oldest event buffer. Pushing never blocks the
-// pipeline on a slow consumer: when full, the oldest event is dropped.
+// pipeline on a slow consumer: when full, the oldest event is dropped. The
+// buffer grows by append up to its cap, so a sink that emits few events
+// holds few.
 type ring struct {
 	mu   sync.Mutex
+	cap  int
 	buf  []Event
 	next uint64 // total events ever pushed; also the next seq number
 }
 
-func newRing(cap int) *ring { return &ring{buf: make([]Event, cap)} }
+func newRing(cap int) *ring { return &ring{cap: cap} }
 
 func (r *ring) push(ev Event) {
 	r.mu.Lock()
 	ev.Seq = r.next
-	r.buf[r.next%uint64(len(r.buf))] = ev
+	if len(r.buf) < r.cap {
+		r.buf = append(r.buf, ev)
+	} else {
+		r.buf[r.next%uint64(r.cap)] = ev
+	}
 	r.next++
 	r.mu.Unlock()
 }

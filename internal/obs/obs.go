@@ -93,14 +93,13 @@ const (
 
 	// Scan service (resident server). Jobs partition at admission into
 	// admitted + rejected; admitted jobs partition at termination into
-	// completed + failed + cancelled. Shed/retried/resumed annotate admitted
+	// completed + failed + cancelled. Retried/resumed annotate admitted
 	// jobs and may overlap. The journal counters classify every append.
 	CtrJobsAdmitted  // submissions accepted into the job queue
-	CtrJobsRejected  // submissions rejected (queue full, tenant cap, draining, admission fault)
+	CtrJobsRejected  // submissions rejected (queue full, draining, admission fault)
 	CtrJobsCompleted // jobs that finished with a report
 	CtrJobsFailed    // jobs that terminated without a report
 	CtrJobsCancelled // jobs cancelled by the client or shutdown
-	CtrJobsShed      // jobs degraded to the static-only pipeline
 	CtrJobsRetried   // retry attempts across all jobs (attempts - jobs)
 	CtrJobsResumed   // jobs re-enqueued from the journal after a restart
 	CtrJournalOK     // journal appends that reached disk
@@ -156,7 +155,6 @@ var counterNames = [NumCounters]string{
 	CtrJobsCompleted:       "jobs_completed",
 	CtrJobsFailed:          "jobs_failed",
 	CtrJobsCancelled:       "jobs_cancelled",
-	CtrJobsShed:            "jobs_shed",
 	CtrJobsRetried:         "jobs_retried",
 	CtrJobsResumed:         "jobs_resumed",
 	CtrJournalOK:           "journal_appends",

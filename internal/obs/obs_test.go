@@ -130,6 +130,45 @@ func TestRingRetainsAndDrops(t *testing.T) {
 	}
 }
 
+// TestRingGrowsOnDemand checks that a traced sink allocates events only as
+// they are emitted: a fresh default-cap ring holds none, a few events hold a
+// few, and a small-cap ring still fills to its cap, wraps and counts drops.
+func TestRingGrowsOnDemand(t *testing.T) {
+	m := NewTraced(DefaultTraceCap)
+	if n := cap(m.ring.buf); n != 0 {
+		t.Fatalf("fresh ring preallocated %d events, want 0", n)
+	}
+	for i := 0; i < 3; i++ {
+		m.Emit(Event{Kind: EvCellCompleted, Pairs: i})
+	}
+	if n := cap(m.ring.buf); n < 3 || n > 64 {
+		t.Errorf("ring holding 3 events has room for %d", n)
+	}
+
+	small := NewTraced(3)
+	for i := 0; i < 2; i++ {
+		small.Emit(Event{Kind: EvCellCompleted, Pairs: i})
+	}
+	if evs := small.Events(); len(evs) != 2 || evs[0].Seq != 0 || evs[1].Seq != 1 || small.Dropped() != 0 {
+		t.Fatalf("partly filled ring: %d events, %d dropped, want 2 / 0", len(evs), small.Dropped())
+	}
+	for i := 2; i < 7; i++ {
+		small.Emit(Event{Kind: EvCellCompleted, Pairs: i})
+	}
+	evs := small.Events()
+	if len(evs) != 3 || len(small.ring.buf) != 3 {
+		t.Fatalf("wrapped ring retains %d events in %d slots, want 3 / 3", len(evs), len(small.ring.buf))
+	}
+	for i, ev := range evs {
+		if want := 4 + i; ev.Seq != uint64(want) || ev.Pairs != want {
+			t.Errorf("event %d = seq %d pairs %d, want %d", i, ev.Seq, ev.Pairs, want)
+		}
+	}
+	if d := small.Dropped(); d != 4 {
+		t.Errorf("Dropped = %d, want 4", d)
+	}
+}
+
 // TestEventJSONL checks the JSONL encoding round-trips, omits empty fields
 // and keeps emission order.
 func TestEventJSONL(t *testing.T) {

@@ -59,9 +59,11 @@ type record struct {
 	// Terminal records carry the job's outcome so a restarted process can
 	// serve its status and report without re-running the scan. Reports are
 	// verbatim Report JSON; replay materializes them as finished jobs.
+	// Lines from older builds may carry keys no longer listed here (such as
+	// "shed"): decoding ignores them, and compaction copies those lines
+	// verbatim.
 	Tenant   string            `json:"tenant,omitempty"`
 	Attempts int               `json:"attempts,omitempty"`
-	Shed     bool              `json:"shed,omitempty"`
 	Report   *patchecko.Report `json:"report,omitempty"`
 	ErrKind  string            `json:"err_kind,omitempty"`
 	ErrMsg   string            `json:"err_msg,omitempty"`

@@ -3,32 +3,30 @@
 // fleet-facing scanner needs and a one-shot CLI does not:
 //
 //   - admission control — a bounded job queue with typed 429/503
-//     rejections and per-tenant in-flight caps, so overload sheds at the
-//     door instead of OOMing the process;
+//     rejections, so overload is turned away at the door instead of
+//     OOMing the process;
 //   - retry with exponential backoff + jitter, driven by the engine's
 //     ScanError taxonomy: deterministic failures (decode, prepare,
 //     reference, trap) are terminal, environmental ones (panic,
 //     cancellation, internal) are retried within a budget;
-//   - graceful degradation — under queue pressure or deadline pressure a
-//     job is shed to the static-only pipeline and its Report is explicitly
-//     marked Degraded, never silently truncated;
 //   - a crash-safe job journal (see journal.go): acked submissions survive
 //     a process kill and resume on the next start, producing byte-identical
 //     Reports;
-//   - per-job deadlines and cancellation, plus /healthz, /readyz and
-//     /metrics backed by internal/obs.
+//   - per-job deadlines (a hard cancel: the job fails with "deadline") and
+//     cancellation, plus /healthz, /readyz and /metrics backed by
+//     internal/obs.
 //
-// Everything that can vary under the policies above — shedding, retrying,
-// resuming, cache sharing — is warmth and wall-clock only: a job's Report
-// is byte-identical to the same scan run by the CLI, and the golden-report
-// suite pins that.
+// A job runs exactly the scan its submission describes: the full pipeline,
+// or the static stage alone when the submission sets static_only. Everything
+// that can vary under the policies above — retrying, resuming, cache
+// sharing — is warmth and wall-clock only: a job's Report is byte-identical
+// to the same scan run by the CLI, and the golden-report suite pins that.
 package server
 
 import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"math"
 	"math/rand"
 	"net/http"
 	"sync"
@@ -55,7 +53,7 @@ type Submission struct {
 	Images [][]byte `json:"images"`
 	// DeadlineMS bounds this job's wall-clock (0 = server default).
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
-	// StaticOnly requests the degraded static-only pipeline up front.
+	// StaticOnly runs the static stage alone; the Report is marked Degraded.
 	StaticOnly bool `json:"static_only,omitempty"`
 }
 
@@ -89,9 +87,6 @@ type Config struct {
 	Workers int
 	// ScanWorkers is the engine parallelism within one job (Analyzer.Workers).
 	ScanWorkers int
-	// PerTenant caps one tenant's in-flight (queued + running) jobs;
-	// 0 = no cap.
-	PerTenant int
 
 	// RetryBudget is the number of re-attempts allowed per job beyond the
 	// first (0 = no retries). Only retryable ScanErrors — panic,
@@ -102,13 +97,10 @@ type Config struct {
 	RetryBase time.Duration
 	RetryMax  time.Duration
 
-	// JobDeadline bounds each job's wall-clock (0 = none). A submission's
-	// own deadline_ms tightens but never loosens it.
+	// JobDeadline bounds each job's wall-clock (0 = none); a job still
+	// running at its deadline fails with "deadline". A submission's own
+	// deadline_ms tightens but never loosens it.
 	JobDeadline time.Duration
-	// ShedThreshold in (0, 1] degrades jobs dequeued while the queue is at
-	// or above this fraction of QueueDepth to the static-only pipeline;
-	// 0 disables shedding.
-	ShedThreshold float64
 
 	// JournalPath enables the crash-safe job journal ("" = in-memory only:
 	// no crash safety, no resume). It compacts past 4 MiB.
@@ -146,8 +138,6 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("server: config: queue depth must be >= 0 (0 = default), got %d", c.QueueDepth)
 	case c.ScanWorkers < 0:
 		return fmt.Errorf("server: config: scan workers must be >= 0 (0 = default), got %d", c.ScanWorkers)
-	case c.PerTenant < 0:
-		return fmt.Errorf("server: config: per-tenant cap must be >= 0 (0 = unlimited), got %d", c.PerTenant)
 	case c.RetryBudget < 0:
 		return fmt.Errorf("server: config: retry budget must be >= 0, got %d", c.RetryBudget)
 	case c.RetryBudget > 0 && c.RetryBase <= 0:
@@ -156,8 +146,6 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("server: config: retry max delay must be >= 0, got %v", c.RetryMax)
 	case c.JobDeadline < 0:
 		return fmt.Errorf("server: config: job deadline must be >= 0 (0 = none), got %v", c.JobDeadline)
-	case c.ShedThreshold < 0 || c.ShedThreshold > 1:
-		return fmt.Errorf("server: config: shed threshold must be in [0, 1], got %v", c.ShedThreshold)
 	}
 	return nil
 }
@@ -191,7 +179,6 @@ type job struct {
 	// Guarded by Server.mu.
 	state    string
 	attempts int
-	shed     bool // degraded by the server (queue or deadline pressure)
 	resumed  bool // re-enqueued from the journal after a restart
 	report   *patchecko.Report
 	errKind  string
@@ -213,7 +200,6 @@ type Server struct {
 	mu       sync.Mutex
 	draining bool
 	jobs     map[string]*job
-	tenants  map[string]int
 	nextID   uint64
 }
 
@@ -230,11 +216,10 @@ func New(cfg Config) (*Server, error) {
 		cfg.Obs = obs.New()
 	}
 	s := &Server{
-		cfg:     cfg,
-		obs:     cfg.Obs,
-		quit:    make(chan struct{}),
-		jobs:    make(map[string]*job),
-		tenants: make(map[string]int),
+		cfg:  cfg,
+		obs:  cfg.Obs,
+		quit: make(chan struct{}),
+		jobs: make(map[string]*job),
 	}
 
 	var pending, finished []*record
@@ -251,9 +236,8 @@ func New(cfg Config) (*Server, error) {
 
 	// Materialize the previous life's finished jobs from their terminal
 	// records: their states and reports are served exactly as if this process
-	// had run them — GET /jobs/{id}/report survives a restart. They hold no
-	// tenant slot and never enter the queue; only their trace events are lost
-	// with the old process.
+	// had run them — GET /jobs/{id}/report survives a restart. They never
+	// enter the queue; only their trace events are lost with the old process.
 	for _, rec := range finished {
 		j := &job{
 			id:       rec.Job,
@@ -263,7 +247,6 @@ func New(cfg Config) (*Server, error) {
 			done:     make(chan struct{}),
 			state:    stateOfKind(rec.Kind),
 			attempts: rec.Attempts,
-			shed:     rec.Shed,
 			report:   rec.Report,
 			errKind:  rec.ErrKind,
 			errMsg:   rec.ErrMsg,
@@ -286,7 +269,6 @@ func New(cfg Config) (*Server, error) {
 		j := s.newJobLocked(rec.Job, rec.Sub)
 		j.resumed = true
 		s.jobs[j.id] = j
-		s.tenants[j.tenant]++
 		s.queue <- j
 		s.obs.Add(obs.CtrJobsResumed, 1)
 		j.sink.Emit(obs.Event{Kind: obs.EvJobResumed, Job: j.id, Tenant: j.tenant})
@@ -423,15 +405,6 @@ func (s *Server) Submit(sub *Submission) (string, int, *APIError) {
 		s.obs.Add(obs.CtrJobsRejected, 1)
 		return "", http.StatusServiceUnavailable, &APIError{Kind: "draining", Msg: "server is shutting down"}
 	}
-	if s.cfg.PerTenant > 0 && s.tenants[sub.Tenant] >= s.cfg.PerTenant {
-		s.mu.Unlock()
-		s.obs.Add(obs.CtrJobsRejected, 1)
-		return "", http.StatusTooManyRequests, &APIError{
-			Kind:         "tenant_busy",
-			Msg:          fmt.Sprintf("tenant %q has %d jobs in flight (cap %d)", sub.Tenant, s.cfg.PerTenant, s.cfg.PerTenant),
-			RetryAfterMS: 1000,
-		}
-	}
 	if len(s.queue) >= s.cfg.QueueDepth {
 		s.mu.Unlock()
 		s.obs.Add(obs.CtrJobsRejected, 1)
@@ -443,7 +416,6 @@ func (s *Server) Submit(sub *Submission) (string, int, *APIError) {
 	}
 	j := s.newJobLocked("", sub)
 	s.jobs[j.id] = j
-	s.tenants[j.tenant]++
 	// Journal BEFORE acking: an append failure degrades crash-safety (it is
 	// counted, and the job runs anyway) but a crash between ack and append
 	// must never lose an acked job.
@@ -477,7 +449,6 @@ type JobStatus struct {
 	Tenant   string    `json:"tenant,omitempty"`
 	State    string    `json:"state"`
 	Attempts int       `json:"attempts"`
-	Shed     bool      `json:"shed,omitempty"`
 	Resumed  bool      `json:"resumed,omitempty"`
 	Degraded bool      `json:"degraded,omitempty"`
 	Error    *APIError `json:"error,omitempty"`
@@ -497,7 +468,6 @@ func (s *Server) statusOf(j *job) JobStatus {
 		Tenant:   j.tenant,
 		State:    j.state,
 		Attempts: j.attempts,
-		Shed:     j.shed,
 		Resumed:  j.resumed,
 		Degraded: j.report != nil && j.report.Degraded,
 	}
@@ -677,8 +647,7 @@ func (s *Server) Report(id string) *patchecko.Report {
 	return j.report
 }
 
-// worker is the job execution loop: dequeue, decide shedding from the queue
-// level, run with retry, terminate.
+// worker is the job execution loop: dequeue, run with retry, terminate.
 func (s *Server) worker() {
 	defer s.wg.Done()
 	for {
@@ -692,16 +661,6 @@ func (s *Server) worker() {
 				continue
 			}
 			j.state = StateRunning
-			// Load-shedding decision: made at dequeue, from the queue level
-			// this job leaves behind — the backlog the full pipeline would
-			// stall. ceil keeps threshold 1.0 meaning "only shed when
-			// completely full".
-			if s.cfg.ShedThreshold > 0 && !j.sub.StaticOnly {
-				limit := int(math.Ceil(s.cfg.ShedThreshold * float64(s.cfg.QueueDepth)))
-				if len(s.queue) >= limit {
-					j.shed = true
-				}
-			}
 			s.mu.Unlock()
 			if s.cfg.gate != nil {
 				select {
@@ -710,18 +669,13 @@ func (s *Server) worker() {
 					return
 				}
 			}
-			if j.shed {
-				s.obs.Add(obs.CtrJobsShed, 1)
-				j.sink.Emit(obs.Event{Kind: obs.EvJobShed, Job: j.id, Tenant: j.tenant, Reason: "queue pressure"})
-			}
 			s.runJob(j)
 		}
 	}
 }
 
 // runJob executes one job: fresh analyzer per attempt, retry on retryable
-// ScanErrors with backoff and reference-cache invalidation, degrade to the
-// static-only pipeline when the soft deadline eats a full-pipeline attempt.
+// ScanErrors with backoff and reference-cache invalidation.
 func (s *Server) runJob(j *job) {
 	fw, err := j.sub.firmware()
 	if err != nil {
@@ -753,7 +707,6 @@ func (s *Server) runJob(j *job) {
 	j.cancel = cancel
 	s.mu.Unlock()
 
-	degraded := j.shed || j.sub.StaticOnly
 	for {
 		s.mu.Lock()
 		j.attempts++
@@ -774,33 +727,11 @@ func (s *Server) runJob(j *job) {
 		an.SharedCache = &s.cache
 		an.Store = s.cfg.Store
 		an.Obs = j.sink
-		an.StaticOnly = degraded
+		an.StaticOnly = j.sub.StaticOnly
 
-		// Full-pipeline attempts under a deadline get a soft budget of 3/4
-		// of the remaining wall-clock: if the scan blows it while the job
-		// deadline is still alive, the leftover quarter runs the static-only
-		// fallback — an explicit degraded Report instead of nothing.
-		attemptCtx, attemptCancel := ctx, context.CancelFunc(func() {})
-		if !degraded {
-			if dl, ok := ctx.Deadline(); ok {
-				soft := time.Now().Add(time.Until(dl) * 3 / 4)
-				attemptCtx, attemptCancel = context.WithDeadline(ctx, soft)
-			}
-		}
-		report, scanErr := an.ScanFirmware(attemptCtx, fw)
-		attemptCancel()
-
+		report, scanErr := an.ScanFirmware(ctx, fw)
 		if scanErr != nil {
 			switch {
-			case ctx.Err() == nil && !degraded && !s.cancelled(j):
-				// Only the soft deadline expired: shed and use what's left.
-				degraded = true
-				s.mu.Lock()
-				j.shed = true
-				s.mu.Unlock()
-				s.obs.Add(obs.CtrJobsShed, 1)
-				j.sink.Emit(obs.Event{Kind: obs.EvJobShed, Job: j.id, Tenant: j.tenant, Attempt: attempt, Reason: "deadline pressure"})
-				continue
 			case s.cancelled(j):
 				s.finish(j, StateCancelled, "cancelled", "cancelled by client")
 			case s.closing():
@@ -907,9 +838,8 @@ func (s *Server) closing() bool {
 }
 
 // finish settles a job into a terminal state exactly once: journal the
-// terminal record (except on shutdown, so the job resumes), release the
-// tenant slot, count, emit, merge the job sink into the process sink, and
-// wake waiters.
+// terminal record (except on shutdown, so the job resumes), count, emit,
+// merge the job sink into the process sink, and wake waiters.
 func (s *Server) finish(j *job, state, errKind, errMsg string) {
 	s.mu.Lock()
 	s.finishLocked(j, state, errKind, errMsg)
@@ -922,10 +852,6 @@ func (s *Server) finishLocked(j *job, state, errKind, errMsg string) {
 	}
 	j.state = state
 	j.errKind, j.errMsg = errKind, errMsg
-	s.tenants[j.tenant]--
-	if s.tenants[j.tenant] <= 0 {
-		delete(s.tenants, j.tenant)
-	}
 	// Terminal records carry the job's outcome — including the full report —
 	// so the journal alone can answer status and report requests in the next
 	// process life.
@@ -933,7 +859,6 @@ func (s *Server) finishLocked(j *job, state, errKind, errMsg string) {
 		Job:      j.id,
 		Tenant:   j.tenant,
 		Attempts: j.attempts,
-		Shed:     j.shed,
 		Report:   j.report,
 		ErrKind:  errKind,
 		ErrMsg:   errMsg,

@@ -172,12 +172,10 @@ func TestConfigValidate(t *testing.T) {
 		{"missing db", func(c *Config) { c.DB = nil }, "DB is required"},
 		{"negative queue", func(c *Config) { c.QueueDepth = -1 }, "queue depth"},
 		{"negative scan workers", func(c *Config) { c.ScanWorkers = -2 }, "scan workers"},
-		{"negative tenant cap", func(c *Config) { c.PerTenant = -1 }, "per-tenant cap"},
 		{"negative retry budget", func(c *Config) { c.RetryBudget = -1 }, "retry budget"},
 		{"retry without base", func(c *Config) { c.RetryBudget = 1; c.RetryBase = 0 }, "retry base delay"},
 		{"negative retry max", func(c *Config) { c.RetryMax = -time.Second }, "retry max delay"},
 		{"negative deadline", func(c *Config) { c.JobDeadline = -time.Second }, "job deadline"},
-		{"shed out of range", func(c *Config) { c.ShedThreshold = 1.5 }, "shed threshold"},
 	}
 	for _, tc := range cases {
 		cfg := Config{Model: model, DB: db}
@@ -203,7 +201,6 @@ func TestAdmissionControl(t *testing.T) {
 	cfg := baseConfig(t)
 	cfg.Workers = -1
 	cfg.QueueDepth = 2
-	cfg.PerTenant = 1
 	s := newServer(t, cfg)
 	sub := goldenSubmission(t)
 
@@ -224,22 +221,10 @@ func TestAdmissionControl(t *testing.T) {
 	}
 	disarm()
 
-	// Tenant cap: the second in-flight job of one tenant is a typed 429;
-	// another tenant is unaffected.
-	a1 := *sub
-	a1.Tenant = "tenant-a"
-	submit(t, s, &a1)
-	a2 := a1
-	if _, status, apiErr := s.Submit(&a2); apiErr == nil || status != http.StatusTooManyRequests || apiErr.Kind != "tenant_busy" {
-		t.Fatalf("tenant cap: got %d %+v", status, apiErr)
-	}
-	b1 := *sub
-	b1.Tenant = "tenant-b"
-	submit(t, s, &b1)
-
 	// Queue full (depth 2, both slots held): typed 429 with retry advice.
+	submit(t, s, sub)
+	submit(t, s, sub)
 	c1 := *sub
-	c1.Tenant = "tenant-c"
 	_, status, apiErr := s.Submit(&c1)
 	if apiErr == nil || status != http.StatusTooManyRequests || apiErr.Kind != "queue_full" {
 		t.Fatalf("full queue: got %d %+v", status, apiErr)
@@ -251,8 +236,8 @@ func TestAdmissionControl(t *testing.T) {
 	if got := s.obs.Get(obs.CtrJobsAdmitted); got != 2 {
 		t.Errorf("jobs_admitted = %d, want 2", got)
 	}
-	if got := s.obs.Get(obs.CtrJobsRejected); got != 3 {
-		t.Errorf("jobs_rejected = %d, want 3 (fault, tenant cap, queue full)", got)
+	if got := s.obs.Get(obs.CtrJobsRejected); got != 2 {
+		t.Errorf("jobs_rejected = %d, want 2 (fault, queue full)", got)
 	}
 
 	// Readiness reflects the full queue; health never does.
@@ -374,66 +359,76 @@ func TestRescanSharesDedupTables(t *testing.T) {
 	}
 }
 
-// TestLoadShedding pins the degradation contract: a job dequeued under
-// queue pressure is shed to the static-only pipeline and its report says so
-// explicitly; jobs dequeued off a calm queue are not.
-func TestLoadShedding(t *testing.T) {
-	cfg := baseConfig(t)
-	cfg.QueueDepth = 2
-	cfg.ShedThreshold = 0.5 // shed when >= 1 job is still queued at dequeue
-	cfg.gate = make(chan struct{})
-	s := newServer(t, cfg)
-
+// TestStaticOnlySubmission pins the one way a daemon report differs from
+// the full pipeline's: the client asked for it. A static_only submission's
+// report and every scan in it are explicitly marked Degraded and carry no
+// dynamic-stage output; a full submission on the same server is not
+// Degraded.
+func TestStaticOnlySubmission(t *testing.T) {
+	s := newServer(t, baseConfig(t))
 	sub := goldenSubmission(t)
-	first := *sub
-	first.StaticOnly = true // keep the test fast; shedding is about the others
-	j1 := submit(t, s, &first)
-	// The worker dequeues j1 (calm queue) and blocks on the gate; only then
-	// pile up queue pressure behind it, or j1 would still occupy a slot.
-	waitState(t, s, j1, StateRunning)
-	j2 := submit(t, s, sub)
-	third := *sub
-	third.StaticOnly = true
-	j3 := submit(t, s, &third)
+	static := *sub
+	static.StaticOnly = true
+	js, jf := submit(t, s, &static), submit(t, s, sub)
 
-	cfg.gate <- struct{}{} // j1 runs: dequeued before any backlog existed
-	cfg.gate <- struct{}{} // j2 runs: dequeued with j3 still queued -> shed
-	cfg.gate <- struct{}{} // j3 runs: queue empty again -> not shed
-
-	st1, st2, st3 := waitDone(t, s, j1), waitDone(t, s, j2), waitDone(t, s, j3)
-	if st1.State != StateDone || st2.State != StateDone || st3.State != StateDone {
-		t.Fatalf("states: %s %s %s, want all done", st1.State, st2.State, st3.State)
+	st := waitDone(t, s, js)
+	if st.State != StateDone || !st.Degraded {
+		t.Fatalf("static-only job: state %s degraded %v, want done and degraded (error %+v)", st.State, st.Degraded, st.Error)
 	}
-	if st1.Shed {
-		t.Error("j1 (calm queue) was shed")
+	r := s.Report(js)
+	if r == nil || !r.Degraded {
+		t.Fatal("static-only job's report is not marked Degraded")
 	}
-	if !st2.Shed {
-		t.Error("j2 (dequeued under pressure) was not shed")
+	if len(r.Results) == 0 {
+		t.Fatal("static-only job's report has no results")
 	}
-	if st3.Shed {
-		t.Error("j3 (client static-only) reported as server-shed")
-	}
-
-	// Degradation is never silent: the shed job's Report and every scan in
-	// it are explicitly marked.
-	r2 := s.Report(j2)
-	if r2 == nil || !r2.Degraded {
-		t.Fatal("shed job's report is not marked Degraded")
-	}
-	for cve, scan := range r2.Results {
+	for cve, scan := range r.Results {
 		if scan != nil && !scan.Degraded {
-			t.Errorf("shed job: result %s not marked Degraded", cve)
+			t.Errorf("static-only job: result %s not marked Degraded", cve)
 		}
 		if scan != nil && (scan.Matched || len(scan.Ranking) > 0) {
-			t.Errorf("shed job: result %s carries dynamic-stage output", cve)
+			t.Errorf("static-only job: result %s carries dynamic-stage output", cve)
 		}
 	}
-	// Client-requested static-only is Degraded on the report but not a shed.
-	if r3 := s.Report(j3); r3 == nil || !r3.Degraded {
-		t.Error("client static-only report not marked Degraded")
+
+	if st := waitDone(t, s, jf); st.State != StateDone || st.Degraded {
+		t.Fatalf("full job: state %s degraded %v, want done and not degraded", st.State, st.Degraded)
 	}
-	if got := s.obs.Get(obs.CtrJobsShed); got != 1 {
-		t.Errorf("jobs_shed = %d, want 1", got)
+	if r := s.Report(jf); r == nil || r.Degraded {
+		t.Error("full job's report is marked Degraded")
+	}
+	if !bytes.Equal(servedReport(t, s, jf, true), goldenBytes(t)) {
+		t.Error("full job's report diverges from golden bytes")
+	}
+}
+
+// TestJobDeadline pins the deadline as a hard cancel: a job still running
+// when its deadline_ms expires fails with kind "deadline" and no report —
+// it is never rerun on a cheaper pipeline.
+func TestJobDeadline(t *testing.T) {
+	cfg := baseConfig(t)
+	cfg.started = make(chan struct{})
+	s := newServer(t, cfg)
+	sub := goldenSubmission(t)
+	sub.DeadlineMS = 50
+	id := submit(t, s, sub)
+	<-cfg.started // running; the attempt is held until the deadline ends it
+
+	st := waitDone(t, s, id)
+	if st.State != StateFailed || st.Error == nil || st.Error.Kind != "deadline" {
+		t.Fatalf("job status %+v, want failed with error kind deadline", st)
+	}
+	if st.Degraded {
+		t.Error("deadline-failed job reported as degraded")
+	}
+	if r := s.Report(id); r != nil {
+		t.Errorf("deadline-failed job has a report (degraded %v)", r.Degraded)
+	}
+	if got := s.obs.Get(obs.CtrJobsFailed); got != 1 {
+		t.Errorf("jobs_failed = %d, want 1", got)
+	}
+	if got := s.obs.Get(obs.CtrJobsCompleted); got != 0 {
+		t.Errorf("jobs_completed = %d, want 0", got)
 	}
 }
 
@@ -634,7 +629,7 @@ func TestFinishedJobReplay(t *testing.T) {
 	if st2.State != StateDone {
 		t.Fatalf("replayed job state %s, want done", st2.State)
 	}
-	if st2.Tenant != sub.Tenant || st2.Attempts != st1.Attempts || st2.Shed != st1.Shed {
+	if st2.Tenant != sub.Tenant || st2.Attempts != st1.Attempts {
 		t.Errorf("replayed status %+v diverges from life 1's %+v", st2, st1)
 	}
 	if got := servedReport(t, life2, id, false); !bytes.Equal(got, want) {
@@ -645,14 +640,6 @@ func TestFinishedJobReplay(t *testing.T) {
 	}
 	if !bytes.Equal(servedReport(t, life2, id, true), goldenBytes(t)) {
 		t.Error("replayed normalized report diverges from committed golden bytes")
-	}
-	// The replayed job holds no tenant slot: the tenant can submit again
-	// even at a per-tenant cap of 1.
-	life2.mu.Lock()
-	inflight := life2.tenants[sub.Tenant]
-	life2.mu.Unlock()
-	if inflight != 0 {
-		t.Errorf("replayed terminal job holds %d tenant slots, want 0", inflight)
 	}
 	life2.Close()
 
@@ -666,6 +653,58 @@ func TestFinishedJobReplay(t *testing.T) {
 		t.Error("second replay diverges from life 1's served bytes")
 	}
 	life3.Close()
+}
+
+// TestLegacyTerminalRecordReplay pins journal compatibility: a terminal
+// record written by an older build, which carried a "shed" flag, still
+// replays as a done job serving its report, and compaction copies the line
+// verbatim so the job survives it and the next restart.
+func TestLegacyTerminalRecordReplay(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "journal.jsonl")
+	const id = "job-00000001"
+	submitted, err := json.Marshal(record{Kind: recSubmitted, Seq: 1, Job: id, Sub: goldenSubmission(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := `{"kind":"done","seq":2,"job":"` + id + `","tenant":"old-tenant","attempts":2,"shed":true,"report":` +
+		string(bytes.TrimSuffix(goldenBytes(t), []byte("\n"))) + "}\n"
+	if err := os.WriteFile(journal, append(append(submitted, '\n'), legacy...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	served := func(s *Server, phase string) {
+		t.Helper()
+		st := waitDone(t, s, id)
+		if st.State != StateDone || st.Tenant != "old-tenant" || st.Attempts != 2 {
+			t.Fatalf("%s: replayed status %+v, want done for old-tenant after 2 attempts", phase, st)
+		}
+		if !bytes.Equal(servedReport(t, s, id, true), goldenBytes(t)) {
+			t.Errorf("%s: replayed report diverges from golden bytes", phase)
+		}
+	}
+
+	cfg := baseConfig(t)
+	cfg.Workers = -1
+	cfg.JournalPath = journal
+	life1 := newServer(t, cfg)
+	if got := life1.obs.Get(obs.CtrJobsResumed); got != 0 {
+		t.Fatalf("legacy terminal job was resumed (%d), want replayed as done", got)
+	}
+	served(life1, "replay")
+	life1.journal.mu.Lock()
+	life1.journal.compactLocked()
+	life1.journal.mu.Unlock()
+	life1.Close()
+	raw, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(raw) != legacy {
+		t.Errorf("compaction did not keep exactly the legacy terminal line:\n got %.200q\nwant %.200q", raw, legacy)
+	}
+
+	life2 := newServer(t, cfg)
+	served(life2, "after compaction")
 }
 
 // TestChaosMatrix arms every service fault point at once — admission
