@@ -115,7 +115,7 @@ func runSubmit(args []string) error {
 		manifest   = fs.String("manifest", "", "image-order manifest (default DIR/images.txt)")
 		device     = fs.String("device", "", "device name recorded on the report")
 		arch       = fs.String("arch", "", "device architecture")
-		tenant     = fs.String("tenant", "", "tenant id for admission accounting")
+		tenant     = fs.String("tenant", "", "tenant label recorded on the job status and its events")
 		deadlineMS = fs.Int64("deadline-ms", 0, "per-job deadline in ms (0 = server default)")
 		staticOnly = fs.Bool("static-only", false, "request the degraded static-only pipeline")
 		noWait     = fs.Bool("no-wait", false, "print the job id and exit without waiting")

@@ -48,7 +48,7 @@ const (
 	// must be rejected with a typed error, never accepted half-way or hung.
 	AdmitFail Point = "server.admit"
 	// JournalFail fires on every job-journal append, keyed by the record
-	// kind ("submitted", "started", ...). Arming it simulates journal-disk
+	// kind ("submitted", "done", ...). Arming it simulates journal-disk
 	// failure: jobs must keep completing with crash-safety degraded and the
 	// failure counted, never fail because their bookkeeping did.
 	JournalFail Point = "server.journal"

@@ -1,7 +1,11 @@
 // Crash-safe job journal: an append-only JSONL file recording every job's
 // admission and termination, so a process restart can resume the jobs it
-// was killed under. The format follows the cas.Store playbook — the journal
-// is bookkeeping, never an authority over results:
+// was killed under and serve the ones it finished. Its terminal records are
+// also the only in-memory home of a finished job, in every process life: a
+// job the journal has forgotten is gone, live or restarted. A journal with
+// no path keeps the same records under the same bound and does no I/O. The
+// format follows the cas.Store playbook — the journal is bookkeeping, never
+// an authority over results:
 //
 //   - every append is written and fsynced BEFORE the submission is
 //     acknowledged, so an acked job is never lost to a crash;
@@ -9,10 +13,12 @@
 //     and truncated away — the corrupt tail costs at most the one record
 //     that was never acked;
 //   - rotation is compaction: when the file outgrows its budget it is
-//     rewritten to hold only the live (non-terminal) jobs, via temp file +
-//     rename, so readers never observe a half-rotated journal;
+//     rewritten to hold the live (non-terminal) jobs and the retained
+//     terminal records, via temp file + rename, so readers never observe a
+//     half-rotated journal;
 //   - append failures (disk full, injected faults) degrade crash-safety and
-//     are counted, but never fail the job they describe.
+//     are counted, but never fail the job they describe: the record is kept
+//     in memory all the same.
 package server
 
 import (
@@ -33,15 +39,15 @@ import (
 type recordKind string
 
 // Journal record kinds. A job contributes one "submitted" record (carrying
-// the full submission so the job can be re-run from the journal alone), at
-// least one "started" record (one per attempt epoch; a restart may add
-// more), and exactly one terminal record.
+// the full submission so the job can be re-run from the journal alone) and
+// exactly one terminal record, whose kind is the job's final state. Older
+// builds also wrote a "started" record per attempt; replay skips those
+// lines and compaction drops them.
 const (
 	recSubmitted recordKind = "submitted"
-	recStarted   recordKind = "started"
-	recDone      recordKind = "done"
-	recFailed    recordKind = "failed"
-	recCancelled recordKind = "cancelled"
+	recDone      recordKind = StateDone
+	recFailed    recordKind = StateFailed
+	recCancelled recordKind = StateCancelled
 )
 
 // terminal reports whether the record kind ends a job's journal lifetime.
@@ -49,12 +55,14 @@ func (k recordKind) terminal() bool {
 	return k == recDone || k == recFailed || k == recCancelled
 }
 
-// record is one journal line.
+// record is one journal line. It is also a job's identity and outcome in
+// memory: a job embeds one, and the copy its terminal line is written from
+// answers for the job once it has finished.
 type record struct {
 	Kind recordKind  `json:"kind"`
 	Seq  uint64      `json:"seq"`
 	Job  string      `json:"job"`
-	Sub  *Submission `json:"sub,omitempty"` // submitted records only
+	Sub  *Submission `json:"sub,omitempty"` // written on submitted lines only
 
 	// Terminal records carry the job's outcome so a restarted process can
 	// serve its status and report without re-running the scan. Reports are
@@ -64,16 +72,22 @@ type record struct {
 	// verbatim.
 	Tenant   string            `json:"tenant,omitempty"`
 	Attempts int               `json:"attempts,omitempty"`
+	Resumed  bool              `json:"resumed,omitempty"` // re-enqueued from the journal after a restart
 	Report   *patchecko.Report `json:"report,omitempty"`
 	ErrKind  string            `json:"err_kind,omitempty"`
 	ErrMsg   string            `json:"err_msg,omitempty"`
+
+	// sink is the job's traced sink, held in memory only: a job finished in
+	// this process life serves its events, a replayed one serves none.
+	sink *obs.Metrics
 
 	// off and n locate the record's line in the current journal file, so
 	// compaction copies the line instead of encoding the record again.
 	off, n int64
 }
 
-// Journal is the append-only JSONL job journal. Safe for concurrent use.
+// Journal is the job journal: its records in memory, and the append-only
+// JSONL file behind them unless path is empty. Safe for concurrent use.
 type Journal struct {
 	mu   sync.Mutex
 	path string
@@ -85,10 +99,9 @@ type Journal struct {
 	// admitted but not terminated; compaction always keeps these, and
 	// recovery re-enqueues them.
 	live map[string]*record
-	// terminal maps job id to its terminal record (outcome, report) for the
-	// most recently finished jobs, bounded by journalTerminalKeep so report
-	// payloads cannot grow the journal without limit; recovery serves these
-	// as finished jobs.
+	// terminal maps job id to its terminal record (outcome, report, trace)
+	// for the most recently finished jobs, bounded by journalTerminalKeep;
+	// the server answers for finished jobs from here alone.
 	terminal map[string]*record
 	obs      *obs.Metrics
 }
@@ -97,33 +110,37 @@ type Journal struct {
 // rotation budget.
 const defaultJournalMax = 4 << 20
 
-// journalTerminalKeep bounds how many finished jobs' terminal records (and
-// thus replayable reports) the journal retains; compaction additionally
-// drops the oldest ones until the rewritten file fits half the rotation
-// budget, so live submissions always win space over finished reports.
+// journalTerminalKeep bounds how many finished jobs every daemon, journaled
+// or not, answers for: the journal retains this many terminal records and
+// forgets the oldest first. Compaction additionally drops the oldest ones
+// until the rewritten file fits half the rotation budget, so live
+// submissions always win space over finished reports.
 const journalTerminalKeep = 64
 
-// openJournal opens (creating if needed) the journal at path and replays it.
-// pending are the live — submitted or started, never terminated — jobs in
-// admission order, ready to resume; finished are the retained terminal
-// records in termination order, ready to serve their outcomes and reports.
-// maxBytes is the compaction threshold (<= 0 selects defaultJournalMax). A
-// corrupt tail is truncated in place; corruption anywhere else stops replay
-// at the last good line, because everything after it is untrustworthy.
-func openJournal(path string, maxBytes int64, sink *obs.Metrics) (j *Journal, pending, finished []*record, err error) {
+// openJournal opens (creating if needed) the journal at path and replays it
+// (path "" = a file-less journal: nothing to replay, no I/O). pending are
+// the live — submitted, never terminated — jobs in admission order, ready to
+// resume; the retained terminal records stay in j.terminal. maxBytes is the
+// compaction threshold (<= 0 selects defaultJournalMax). A corrupt tail is
+// truncated in place; corruption anywhere else stops replay at the last good
+// line, because everything after it is untrustworthy.
+func openJournal(path string, maxBytes int64, sink *obs.Metrics) (j *Journal, pending []*record, err error) {
 	if maxBytes <= 0 {
 		maxBytes = defaultJournalMax
 	}
+	j = &Journal{path: path, max: maxBytes, live: make(map[string]*record), terminal: make(map[string]*record), obs: sink}
+	if path == "" {
+		return j, nil, nil
+	}
 	if dir := filepath.Dir(path); dir != "." {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, nil, nil, fmt.Errorf("server: journal: %w", err)
+			return nil, nil, fmt.Errorf("server: journal: %w", err)
 		}
 	}
-	j = &Journal{path: path, max: maxBytes, live: make(map[string]*record), terminal: make(map[string]*record), obs: sink}
 
 	raw, err := os.ReadFile(path)
 	if err != nil && !os.IsNotExist(err) {
-		return nil, nil, nil, fmt.Errorf("server: journal: %w", err)
+		return nil, nil, fmt.Errorf("server: journal: %w", err)
 	}
 	var order []string
 	good := 0 // byte offset of the end of the last parseable line
@@ -159,14 +176,14 @@ func openJournal(path string, maxBytes int64, sink *obs.Metrics) (j *Journal, pe
 	}
 	if good < len(raw) {
 		if err := os.Truncate(path, int64(good)); err != nil {
-			return nil, nil, nil, fmt.Errorf("server: journal: truncating corrupt tail: %w", err)
+			return nil, nil, fmt.Errorf("server: journal: truncating corrupt tail: %w", err)
 		}
 	}
 	j.size = int64(good)
 
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("server: journal: %w", err)
+		return nil, nil, fmt.Errorf("server: journal: %w", err)
 	}
 	j.f = f
 
@@ -176,8 +193,7 @@ func openJournal(path string, maxBytes int64, sink *obs.Metrics) (j *Journal, pe
 			pending = append(pending, rec)
 		}
 	}
-	finished = sortedBySeq(j.terminal)
-	return j, pending, finished, nil
+	return j, pending, nil
 }
 
 // trimTerminalLocked evicts the oldest terminal records beyond the retention
@@ -194,28 +210,16 @@ func (j *Journal) trimTerminalLocked() {
 	}
 }
 
-// append writes one record, fsyncs it, and rotates if the file outgrew its
-// budget. The returned error is informational: callers count it and move
-// on — a job must never fail because its bookkeeping did.
-func (j *Journal) append(kind recordKind, jobID string, sub *Submission) error {
-	return j.appendRecord(&record{Kind: kind, Job: jobID, Sub: sub})
-}
-
-// appendRecord is append for callers that fill the terminal outcome fields;
-// rec.Seq is assigned here.
-func (j *Journal) appendRecord(rec *record) error {
-	if j == nil {
-		return nil
-	}
+// append assigns rec.Seq, keeps the record, and — for a journal with a
+// file — writes and fsyncs it and rotates if the file outgrew its budget.
+// The returned error is informational: the record is kept and the failure
+// counted either way, and callers move on — a job must never fail because
+// its bookkeeping did.
+func (j *Journal) append(rec *record) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.seq++
 	rec.Seq = j.seq
-	if err := j.writeLocked(rec); err != nil {
-		j.obs.Add(obs.CtrJournalErrors, 1)
-		return err
-	}
-	j.obs.Add(obs.CtrJournalOK, 1)
 	switch {
 	case rec.Kind == recSubmitted:
 		j.live[rec.Job] = rec
@@ -224,6 +228,14 @@ func (j *Journal) appendRecord(rec *record) error {
 		j.terminal[rec.Job] = rec
 		j.trimTerminalLocked()
 	}
+	if j.path == "" {
+		return nil
+	}
+	if err := j.writeLocked(rec); err != nil {
+		j.obs.Add(obs.CtrJournalErrors, 1)
+		return err
+	}
+	j.obs.Add(obs.CtrJournalOK, 1)
 	if j.size > j.max {
 		j.compactLocked()
 	}
@@ -371,9 +383,6 @@ func sortedBySeq(m map[string]*record) []*record {
 
 // Close flushes and closes the journal file.
 func (j *Journal) Close() error {
-	if j == nil {
-		return nil
-	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.f == nil {

@@ -18,10 +18,12 @@ func testSub(tenant string) *Submission {
 }
 
 // TestJournalRecoversLiveJobs pins the replay contract: submitted-without-
-// terminal jobs come back in admission order, terminated ones do not.
+// terminal jobs come back in admission order, terminated ones do not. The
+// "started" lines are what older builds wrote once per attempt; replay must
+// still skip them.
 func TestJournalRecoversLiveJobs(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.jsonl")
-	j, pending, _, err := openJournal(path, 0, nil)
+	j, pending, err := openJournal(path, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,19 +36,19 @@ func TestJournalRecoversLiveJobs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	must(j.append(recSubmitted, "job-1", testSub("a")))
-	must(j.append(recStarted, "job-1", nil))
-	must(j.append(recSubmitted, "job-2", testSub("b")))
-	must(j.append(recDone, "job-1", nil))
-	must(j.append(recSubmitted, "job-3", testSub("c")))
-	must(j.append(recStarted, "job-3", nil))
-	must(j.append(recSubmitted, "job-4", testSub("d")))
-	must(j.append(recCancelled, "job-4", nil))
+	must(j.append(&record{Kind: recSubmitted, Job: "job-1", Sub: testSub("a")}))
+	must(j.append(&record{Kind: recordKind("started"), Job: "job-1"}))
+	must(j.append(&record{Kind: recSubmitted, Job: "job-2", Sub: testSub("b")}))
+	must(j.append(&record{Kind: recDone, Job: "job-1"}))
+	must(j.append(&record{Kind: recSubmitted, Job: "job-3", Sub: testSub("c")}))
+	must(j.append(&record{Kind: recordKind("started"), Job: "job-3"}))
+	must(j.append(&record{Kind: recSubmitted, Job: "job-4", Sub: testSub("d")}))
+	must(j.append(&record{Kind: recCancelled, Job: "job-4"}))
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	_, pending, _, err = openJournal(path, 0, nil)
+	_, pending, err = openJournal(path, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,14 +71,14 @@ func TestJournalRecoversLiveJobs(t *testing.T) {
 // record, and the journal keeps appending afterwards.
 func TestJournalCorruptTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.jsonl")
-	j, _, _, err := openJournal(path, 0, nil)
+	j, _, err := openJournal(path, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.append(recSubmitted, "job-1", testSub("a")); err != nil {
+	if err := j.append(&record{Kind: recSubmitted, Job: "job-1", Sub: testSub("a")}); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.append(recSubmitted, "job-2", testSub("b")); err != nil {
+	if err := j.append(&record{Kind: recSubmitted, Job: "job-2", Sub: testSub("b")}); err != nil {
 		t.Fatal(err)
 	}
 	j.Close()
@@ -89,7 +91,7 @@ func TestJournalCorruptTail(t *testing.T) {
 	f.WriteString(`{"kind":"submitted","seq":3,"job":"job-3","sub":{"ten`)
 	f.Close()
 
-	j2, pending, _, err := openJournal(path, 0, nil)
+	j2, pending, err := openJournal(path, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,11 +100,11 @@ func TestJournalCorruptTail(t *testing.T) {
 	}
 	// The truncated journal must keep working — and the next append must not
 	// collide with a seq from the lost tail.
-	if err := j2.append(recDone, "job-1", nil); err != nil {
+	if err := j2.append(&record{Kind: recDone, Job: "job-1"}); err != nil {
 		t.Fatal(err)
 	}
 	j2.Close()
-	_, pending, _, err = openJournal(path, 0, nil)
+	_, pending, err = openJournal(path, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +126,7 @@ func TestJournalCorruptMiddle(t *testing.T) {
 	if err := os.WriteFile(path, content, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, pending, _, err := openJournal(path, 0, nil)
+	_, pending, err := openJournal(path, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,18 +139,18 @@ func TestJournalCorruptMiddle(t *testing.T) {
 // to the live submission records, atomically, without losing any live job.
 func TestJournalCompaction(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.jsonl")
-	j, _, _, err := openJournal(path, 512, nil)
+	j, _, err := openJournal(path, 512, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Churn far past the budget: every job terminates except the last two.
 	for i := 0; i < 40; i++ {
 		id := fmt.Sprintf("job-%03d", i)
-		j.append(recSubmitted, id, testSub("t"))
-		j.append(recDone, id, nil)
+		j.append(&record{Kind: recSubmitted, Job: id, Sub: testSub("t")})
+		j.append(&record{Kind: recDone, Job: id})
 	}
-	j.append(recSubmitted, "job-live-1", testSub("t"))
-	j.append(recSubmitted, "job-live-2", testSub("t"))
+	j.append(&record{Kind: recSubmitted, Job: "job-live-1", Sub: testSub("t")})
+	j.append(&record{Kind: recSubmitted, Job: "job-live-2", Sub: testSub("t")})
 	info, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
@@ -158,7 +160,7 @@ func TestJournalCompaction(t *testing.T) {
 	}
 	j.Close()
 	// Reopen under a roomy budget so only the explicit compactions below run.
-	re, pending, _, err := openJournal(path, 1<<20, nil)
+	re, pending, err := openJournal(path, 1<<20, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,14 +195,14 @@ func TestJournalCompaction(t *testing.T) {
 			t.Fatalf("%s: compacted journal differs from its records' encoding:\n got %q\nwant %q", phase, got, want)
 		}
 	}
-	re.appendRecord(&record{Kind: recDone, Job: "job-live-1", Tenant: "t", Attempts: 2, ErrKind: "x", ErrMsg: "y"})
+	re.append(&record{Kind: recDone, Job: "job-live-1", Tenant: "t", Attempts: 2, ErrKind: "x", ErrMsg: "y"})
 	if _, err := re.f.Write([]byte(`{"kind":"submitted","seq":`)); err != nil {
 		t.Fatal(err)
 	}
-	re.append(recSubmitted, "job-live-3", testSub("t"))
-	re.append(recSubmitted, "job-live-4", testSub("t"))
+	re.append(&record{Kind: recSubmitted, Job: "job-live-3", Sub: testSub("t")})
+	re.append(&record{Kind: recSubmitted, Job: "job-live-4", Sub: testSub("t")})
 	compacted("after a torn append")
-	re.append(recSubmitted, "job-live-5", testSub("t"))
+	re.append(&record{Kind: recSubmitted, Job: "job-live-5", Sub: testSub("t")})
 	compacted("after a second compaction")
 }
 
@@ -211,7 +213,7 @@ func TestJournalCompaction(t *testing.T) {
 // the oldest finished reports — never the other way around.
 func TestJournalTerminalRetention(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.jsonl")
-	j, _, _, err := openJournal(path, 0, nil)
+	j, _, err := openJournal(path, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,15 +221,16 @@ func TestJournalTerminalRetention(t *testing.T) {
 	total := journalTerminalKeep + 10
 	for i := 0; i < total; i++ {
 		id := fmt.Sprintf("job-%03d", i)
-		j.append(recSubmitted, id, testSub("t"))
-		j.appendRecord(&record{Kind: recDone, Job: id, Tenant: "t", Attempts: i + 1})
+		j.append(&record{Kind: recSubmitted, Job: id, Sub: testSub("t")})
+		j.append(&record{Kind: recDone, Job: id, Tenant: "t", Attempts: i + 1})
 	}
 	j.Close()
 
-	_, pending, finished, err := openJournal(path, 0, nil)
+	re, pending, err := openJournal(path, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	finished := sortedBySeq(re.terminal)
 	if len(pending) != 0 {
 		t.Fatalf("finished jobs replayed as pending: %d", len(pending))
 	}
@@ -247,21 +250,22 @@ func TestJournalTerminalRetention(t *testing.T) {
 
 	// A tiny byte budget: compaction must shed finished records to fit, but
 	// every live submission survives.
-	tight, _, _, err := openJournal(filepath.Join(t.TempDir(), "tight.jsonl"), 512, nil)
+	tight, _, err := openJournal(filepath.Join(t.TempDir(), "tight.jsonl"), 512, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tight.append(recSubmitted, "job-live", testSub("t"))
+	tight.append(&record{Kind: recSubmitted, Job: "job-live", Sub: testSub("t")})
 	for i := 0; i < 40; i++ {
 		id := fmt.Sprintf("churn-%03d", i)
-		tight.append(recSubmitted, id, testSub("t"))
-		tight.appendRecord(&record{Kind: recDone, Job: id, Tenant: "t"})
+		tight.append(&record{Kind: recSubmitted, Job: id, Sub: testSub("t")})
+		tight.append(&record{Kind: recDone, Job: id, Tenant: "t"})
 	}
 	tight.Close()
-	_, pending, finished, err = openJournal(tight.path, 512, nil)
+	re, pending, err = openJournal(tight.path, 512, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	finished = sortedBySeq(re.terminal)
 	if len(pending) != 1 || pending[0].Job != "job-live" {
 		t.Fatalf("live job lost to terminal churn: pending = %v", pending)
 	}
@@ -281,20 +285,23 @@ func TestJournalTerminalRetention(t *testing.T) {
 func TestJournalAppendFault(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.jsonl")
 	sink := obs.New()
-	j, _, _, err := openJournal(path, 0, sink)
+	j, _, err := openJournal(path, 0, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	if err := j.append(recSubmitted, "job-1", testSub("a")); err != nil {
+	if err := j.append(&record{Kind: recSubmitted, Job: "job-1", Sub: testSub("a")}); err != nil {
 		t.Fatal(err)
 	}
 	disarm := faultinject.Arm(faultinject.JournalFail, string(recSubmitted), errors.New("disk on fire"))
-	if err := j.append(recSubmitted, "job-2", testSub("b")); err == nil {
+	if err := j.append(&record{Kind: recSubmitted, Job: "job-2", Sub: testSub("b")}); err == nil {
 		t.Fatal("armed journal fault did not surface")
 	}
 	disarm()
-	if err := j.append(recSubmitted, "job-3", testSub("c")); err != nil {
+	if j.live["job-2"] == nil {
+		t.Error("a failed append dropped its record from memory")
+	}
+	if err := j.append(&record{Kind: recSubmitted, Job: "job-3", Sub: testSub("c")}); err != nil {
 		t.Fatalf("append after fault: %v", err)
 	}
 	if got := sink.Get(obs.CtrJournalErrors); got != 1 {

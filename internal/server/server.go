@@ -11,7 +11,9 @@
 //     cancellation, internal) are retried within a budget;
 //   - a crash-safe job journal (see journal.go): acked submissions survive
 //     a process kill and resume on the next start, producing byte-identical
-//     Reports;
+//     Reports; the journal's terminal records are also the only copy of a
+//     finished job, so a live daemon and a restarted one answer for the
+//     same journalTerminalKeep most recent finished jobs;
 //   - per-job deadlines (a hard cancel: the job fails with "deadline") and
 //     cancellation, plus /healthz, /readyz and /metrics backed by
 //     internal/obs.
@@ -102,8 +104,9 @@ type Config struct {
 	// deadline_ms tightens but never loosens it.
 	JobDeadline time.Duration
 
-	// JournalPath enables the crash-safe job journal ("" = in-memory only:
-	// no crash safety, no resume). It compacts past 4 MiB.
+	// JournalPath is the crash-safe job journal's file ("" = in memory
+	// only: no crash safety, no resume; finished jobs are retained under the
+	// same bound either way). It compacts past 4 MiB.
 	JournalPath string
 
 	// Store is the optional persistent static-score store shared by all
@@ -119,10 +122,9 @@ type Config struct {
 	// holds); production configs leave it nil.
 	gate chan struct{}
 	// started, when non-nil, parks every job attempt once the job is
-	// running and its started record is journaled: the worker sends one
-	// token, then holds the attempt until the job context ends (Close or a
-	// client cancel). In-package tests use it to shut down provably
-	// mid-job; production configs leave it nil.
+	// running: the worker sends one token, then holds the attempt until the
+	// job context ends (Close or a client cancel). In-package tests use it to
+	// shut down provably mid-job; production configs leave it nil.
 	started chan struct{}
 }
 
@@ -165,24 +167,18 @@ const (
 	StateCancelled = "cancelled"
 )
 
-// job is one admitted submission's full lifecycle.
+// job is one admitted submission's lifecycle up to its terminal record.
 type job struct {
-	id     string
-	tenant string
-	sub    *Submission
-	sink   *obs.Metrics // per-job traced sink; merged into the server sink at termination
+	// record holds the id (Job), submission, tenant and outcome; its sink is
+	// the per-job traced sink, merged into the server sink at termination.
+	// The outcome fields are guarded by Server.mu.
+	record
 
 	cancel       context.CancelFunc
 	done         chan struct{}
 	clientCancel bool // cancelled by DELETE (vs. shutdown or deadline)
 
-	// Guarded by Server.mu.
-	state    string
-	attempts int
-	resumed  bool // re-enqueued from the journal after a restart
-	report   *patchecko.Report
-	errKind  string
-	errMsg   string
+	state string // guarded by Server.mu
 }
 
 // Server is the resident scan service. Build one with New, mount Handler on
@@ -199,12 +195,13 @@ type Server struct {
 
 	mu       sync.Mutex
 	draining bool
-	jobs     map[string]*job
+	jobs     map[string]*job // jobs not yet journaled terminal
 	nextID   uint64
 }
 
 // New builds the server, replays the journal, re-enqueues the jobs a
-// previous process life left unfinished, and starts the worker pool.
+// previous process life left unfinished, and starts the worker pool. The
+// jobs it finished are answered for from the journal's terminal records.
 func New(cfg Config) (*Server, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -222,38 +219,12 @@ func New(cfg Config) (*Server, error) {
 		jobs: make(map[string]*job),
 	}
 
-	var pending, finished []*record
-	if cfg.JournalPath != "" {
-		j, recs, done, err := openJournal(cfg.JournalPath, defaultJournalMax, s.obs)
-		if err != nil {
-			return nil, err
-		}
-		s.journal = j
-		s.nextID = j.seq
-		pending = recs
-		finished = done
+	j, pending, err := openJournal(cfg.JournalPath, defaultJournalMax, s.obs)
+	if err != nil {
+		return nil, err
 	}
-
-	// Materialize the previous life's finished jobs from their terminal
-	// records: their states and reports are served exactly as if this process
-	// had run them — GET /jobs/{id}/report survives a restart. They never
-	// enter the queue; only their trace events are lost with the old process.
-	for _, rec := range finished {
-		j := &job{
-			id:       rec.Job,
-			tenant:   rec.Tenant,
-			sub:      &Submission{Tenant: rec.Tenant},
-			sink:     obs.NewTraced(obs.DefaultTraceCap),
-			done:     make(chan struct{}),
-			state:    stateOfKind(rec.Kind),
-			attempts: rec.Attempts,
-			report:   rec.Report,
-			errKind:  rec.ErrKind,
-			errMsg:   rec.ErrMsg,
-		}
-		close(j.done)
-		s.jobs[j.id] = j
-	}
+	s.journal = j
+	s.nextID = j.seq
 
 	// The queue is sized for the admission bound, stretched if the journal
 	// replayed more live jobs than the bound (a previous life's running
@@ -267,11 +238,11 @@ func New(cfg Config) (*Server, error) {
 
 	for _, rec := range pending {
 		j := s.newJobLocked(rec.Job, rec.Sub)
-		j.resumed = true
-		s.jobs[j.id] = j
+		j.Resumed = true
+		s.jobs[j.Job] = j
 		s.queue <- j
 		s.obs.Add(obs.CtrJobsResumed, 1)
-		j.sink.Emit(obs.Event{Kind: obs.EvJobResumed, Job: j.id, Tenant: j.tenant})
+		j.sink.Emit(obs.Event{Kind: obs.EvJobResumed, Job: j.Job, Tenant: j.Tenant})
 	}
 
 	workers := cfg.Workers
@@ -285,18 +256,6 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// stateOfKind maps a terminal journal record kind to its job state.
-func stateOfKind(k recordKind) string {
-	switch k {
-	case recDone:
-		return StateDone
-	case recCancelled:
-		return StateCancelled
-	default:
-		return StateFailed
-	}
-}
-
 // newJobLocked builds a job shell in the queued state. id == "" mints a
 // fresh one (unique across process lives: the counter is seeded past the
 // journal's high seq, and every admission advances the journal).
@@ -306,10 +265,7 @@ func (s *Server) newJobLocked(id string, sub *Submission) *job {
 		id = fmt.Sprintf("job-%08d", s.nextID)
 	}
 	return &job{
-		id:     id,
-		tenant: sub.Tenant,
-		sub:    sub,
-		sink:   obs.NewTraced(obs.DefaultTraceCap),
+		record: record{Job: id, Sub: sub, Tenant: sub.Tenant, sink: obs.NewTraced(obs.DefaultTraceCap)},
 		done:   make(chan struct{}),
 		state:  StateQueued,
 	}
@@ -415,17 +371,17 @@ func (s *Server) Submit(sub *Submission) (string, int, *APIError) {
 		}
 	}
 	j := s.newJobLocked("", sub)
-	s.jobs[j.id] = j
+	s.jobs[j.Job] = j
 	// Journal BEFORE acking: an append failure degrades crash-safety (it is
 	// counted, and the job runs anyway) but a crash between ack and append
 	// must never lose an acked job.
-	s.journal.append(recSubmitted, j.id, sub)
+	s.journal.append(&record{Kind: recSubmitted, Job: j.Job, Sub: sub})
 	s.queue <- j
 	s.mu.Unlock()
 
 	s.obs.Add(obs.CtrJobsAdmitted, 1)
-	j.sink.Emit(obs.Event{Kind: obs.EvJobQueued, Job: j.id, Tenant: j.tenant})
-	return j.id, http.StatusAccepted, nil
+	j.sink.Emit(obs.Event{Kind: obs.EvJobQueued, Job: j.Job, Tenant: j.Tenant})
+	return j.Job, http.StatusAccepted, nil
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -454,25 +410,38 @@ type JobStatus struct {
 	Error    *APIError `json:"error,omitempty"`
 }
 
+// lookup finds a job in flight in s.jobs or, once it has finished, as the
+// journal's terminal record; an id the journal has forgotten is gone.
 func (s *Server) lookup(id string) *job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.jobs[id]
+	if j := s.jobs[id]; j != nil {
+		return j
+	}
+	s.journal.mu.Lock()
+	defer s.journal.mu.Unlock()
+	rec := s.journal.terminal[id]
+	if rec == nil {
+		return nil
+	}
+	j := &job{record: *rec, state: string(rec.Kind), done: make(chan struct{})}
+	close(j.done)
+	return j
 }
 
 func (s *Server) statusOf(j *job) JobStatus {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := JobStatus{
-		Job:      j.id,
-		Tenant:   j.tenant,
+		Job:      j.Job,
+		Tenant:   j.Tenant,
 		State:    j.state,
-		Attempts: j.attempts,
-		Resumed:  j.resumed,
-		Degraded: j.report != nil && j.report.Degraded,
+		Attempts: j.Attempts,
+		Resumed:  j.Resumed,
+		Degraded: j.Report != nil && j.Report.Degraded,
 	}
-	if j.errMsg != "" {
-		st.Error = &APIError{Kind: j.errKind, Msg: j.errMsg}
+	if j.ErrMsg != "" {
+		st.Error = &APIError{Kind: j.ErrKind, Msg: j.ErrMsg}
 	}
 	return st
 }
@@ -493,7 +462,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mu.Lock()
-	state, report := j.state, j.report
+	state, report := j.state, j.Report
 	s.mu.Unlock()
 	if report == nil {
 		switch state {
@@ -616,6 +585,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	for _, j := range s.jobs {
 		v.Jobs[j.state]++
 	}
+	s.journal.mu.Lock()
+	for _, rec := range s.journal.terminal {
+		v.Jobs[string(rec.Kind)]++
+	}
+	s.journal.mu.Unlock()
 	s.mu.Unlock()
 	v.RefCache.Entries = s.cache.Len()
 	writeJSON(w, http.StatusOK, v)
@@ -635,8 +609,8 @@ func (s *Server) Wait(ctx context.Context, id string) (JobStatus, error) {
 	}
 }
 
-// Report returns a terminated job's report (nil while in flight or when the
-// job died without one).
+// Report returns a terminated job's report (nil while in flight, when the
+// job died without one, or once the journal has forgotten the job).
 func (s *Server) Report(id string) *patchecko.Report {
 	j := s.lookup(id)
 	if j == nil {
@@ -644,7 +618,7 @@ func (s *Server) Report(id string) *patchecko.Report {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return j.report
+	return j.Report
 }
 
 // worker is the job execution loop: dequeue, run with retry, terminate.
@@ -677,7 +651,7 @@ func (s *Server) worker() {
 // runJob executes one job: fresh analyzer per attempt, retry on retryable
 // ScanErrors with backoff and reference-cache invalidation.
 func (s *Server) runJob(j *job) {
-	fw, err := j.sub.firmware()
+	fw, err := j.Sub.firmware()
 	if err != nil {
 		// Admission validated decode, so this is journal bit-rot or an
 		// embedded caller skipping Submit — terminal either way.
@@ -686,7 +660,7 @@ func (s *Server) runJob(j *job) {
 	}
 
 	deadline := s.cfg.JobDeadline
-	if d := time.Duration(j.sub.DeadlineMS) * time.Millisecond; d > 0 && (deadline == 0 || d < deadline) {
+	if d := time.Duration(j.Sub.DeadlineMS) * time.Millisecond; d > 0 && (deadline == 0 || d < deadline) {
 		deadline = d
 	}
 	// Jobs are deliberately rooted here, not in the submitting request's
@@ -709,11 +683,10 @@ func (s *Server) runJob(j *job) {
 
 	for {
 		s.mu.Lock()
-		j.attempts++
-		attempt := j.attempts
+		j.Attempts++
+		attempt := j.Attempts
 		s.mu.Unlock()
-		s.journal.append(recStarted, j.id, nil)
-		j.sink.Emit(obs.Event{Kind: obs.EvJobStarted, Job: j.id, Tenant: j.tenant, Attempt: attempt})
+		j.sink.Emit(obs.Event{Kind: obs.EvJobStarted, Job: j.Job, Tenant: j.Tenant, Attempt: attempt})
 		if s.cfg.started != nil {
 			select {
 			case s.cfg.started <- struct{}{}:
@@ -727,7 +700,7 @@ func (s *Server) runJob(j *job) {
 		an.SharedCache = &s.cache
 		an.Store = s.cfg.Store
 		an.Obs = j.sink
-		an.StaticOnly = j.sub.StaticOnly
+		an.StaticOnly = j.Sub.StaticOnly
 
 		report, scanErr := an.ScanFirmware(ctx, fw)
 		if scanErr != nil {
@@ -749,7 +722,7 @@ func (s *Server) runJob(j *job) {
 		retryable := retryableErrors(report)
 		if len(retryable) == 0 || attempt > s.cfg.RetryBudget {
 			s.mu.Lock()
-			j.report = report
+			j.Report = report
 			s.mu.Unlock()
 			s.finish(j, StateDone, "", "")
 			return
@@ -763,7 +736,7 @@ func (s *Server) runJob(j *job) {
 		}
 		s.obs.Add(obs.CtrJobsRetried, 1)
 		j.sink.Emit(obs.Event{
-			Kind: obs.EvJobRetried, Job: j.id, Tenant: j.tenant, Attempt: attempt,
+			Kind: obs.EvJobRetried, Job: j.Job, Tenant: j.Tenant, Attempt: attempt,
 			Reason: fmt.Sprintf("%d retryable scan errors", len(retryable)),
 		})
 		if !s.backoff(ctx, attempt) {
@@ -837,9 +810,11 @@ func (s *Server) closing() bool {
 	}
 }
 
-// finish settles a job into a terminal state exactly once: journal the
-// terminal record (except on shutdown, so the job resumes), count, emit,
-// merge the job sink into the process sink, and wake waiters.
+// finish settles a job into a terminal state exactly once: count, emit,
+// merge the job sink into the process sink, journal the terminal record —
+// which from then on answers for the job in place of s.jobs — and wake
+// waiters. A job shut down mid-run is not journaled terminal, so a journaled
+// server resumes it on the next start.
 func (s *Server) finish(j *job, state, errKind, errMsg string) {
 	s.mu.Lock()
 	s.finishLocked(j, state, errKind, errMsg)
@@ -851,35 +826,24 @@ func (s *Server) finishLocked(j *job, state, errKind, errMsg string) {
 		return
 	}
 	j.state = state
-	j.errKind, j.errMsg = errKind, errMsg
-	// Terminal records carry the job's outcome — including the full report —
-	// so the journal alone can answer status and report requests in the next
-	// process life.
-	rec := &record{
-		Job:      j.id,
-		Tenant:   j.tenant,
-		Attempts: j.attempts,
-		Report:   j.report,
-		ErrKind:  errKind,
-		ErrMsg:   errMsg,
-	}
+	j.ErrKind, j.ErrMsg = errKind, errMsg
 	switch state {
 	case StateDone:
 		s.obs.Add(obs.CtrJobsCompleted, 1)
-		rec.Kind = recDone
-		s.journal.appendRecord(rec)
 	case StateCancelled:
 		s.obs.Add(obs.CtrJobsCancelled, 1)
-		if errKind != "shutdown" {
-			rec.Kind = recCancelled
-			s.journal.appendRecord(rec)
-		}
 	default:
 		s.obs.Add(obs.CtrJobsFailed, 1)
-		rec.Kind = recFailed
-		s.journal.appendRecord(rec)
 	}
-	j.sink.Emit(obs.Event{Kind: obs.EvJobDone, Job: j.id, Tenant: j.tenant, Attempt: j.attempts, State: state, Reason: errMsg})
+	j.sink.Emit(obs.Event{Kind: obs.EvJobDone, Job: j.Job, Tenant: j.Tenant, Attempt: j.Attempts, State: state, Reason: errMsg})
 	s.obs.Merge(j.sink)
+	if errKind != "shutdown" {
+		// The terminal record carries the whole outcome, report included,
+		// minus the submission's images.
+		rec := j.record
+		rec.Kind, rec.Sub = recordKind(state), nil
+		s.journal.append(&rec)
+		delete(s.jobs, j.Job)
+	}
 	close(j.done)
 }

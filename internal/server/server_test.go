@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -546,13 +547,17 @@ func TestCrashRestartResume(t *testing.T) {
 		}
 		life2.Close()
 
-		// Life 3: the completed job was journaled terminal — nothing resumes.
+		// Life 3: the completed job was journaled terminal — nothing resumes,
+		// and its status, Resumed included, is the one life 2 reported.
 		cfg3 := baseConfig(t)
 		cfg3.Workers = -1
 		cfg3.JournalPath = journal
 		life3 := newServer(t, cfg3)
 		if got := life3.obs.Get(obs.CtrJobsResumed); got != 0 {
 			t.Errorf("scanWorkers=%d: terminal job resurrected (%d resumed)", scanWorkers, got)
+		}
+		if st3 := waitDone(t, life3, id); st3 != st {
+			t.Errorf("scanWorkers=%d: replayed status %+v, life 2 reported %+v", scanWorkers, st3, st)
 		}
 		life3.Close()
 	}
@@ -572,7 +577,7 @@ func TestMidJobRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	id := submit(t, life1, goldenSubmission(t))
-	<-cfg.started // running, started record journaled, held until Close
+	<-cfg.started // running, held until Close
 	life1.Close() // cancels the in-flight scan; no terminal journal record
 
 	cfg2 := baseConfig(t)
@@ -653,6 +658,103 @@ func TestFinishedJobReplay(t *testing.T) {
 		t.Error("second replay diverges from life 1's served bytes")
 	}
 	life3.Close()
+}
+
+// TestFinishedJobRetention pins the one retention rule for finished jobs: a
+// job leaves the job table once its terminal record is journaled, only the
+// journal's journalTerminalKeep most recent terminal records answer for
+// finished jobs, with or without a journal file, and a restarted daemon
+// gives every id the answer the live one gave: the same status and report
+// bytes, or the same 404.
+func TestFinishedJobRetention(t *testing.T) {
+	get := func(s *Server, url string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", url, nil))
+		return rec
+	}
+	// answers returns the status of every id that answers, and checks that
+	// every other id is not_found on status, report and events alike.
+	answers := func(s *Server, ids []string, phase string) map[string]JobStatus {
+		t.Helper()
+		got := make(map[string]JobStatus)
+		for _, id := range ids {
+			if rec := get(s, "/jobs/"+id); rec.Code == http.StatusOK {
+				var st JobStatus
+				if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+					t.Fatal(err)
+				}
+				got[id] = st
+				continue
+			}
+			for _, url := range []string{"/jobs/" + id, "/jobs/" + id + "/report", "/jobs/" + id + "/events"} {
+				rec := get(s, url)
+				var body struct{ Error APIError }
+				json.Unmarshal(rec.Body.Bytes(), &body)
+				if rec.Code != http.StatusNotFound || body.Error.Kind != "not_found" {
+					t.Errorf("%s: GET %s = %d %s, want 404 not_found", phase, url, rec.Code, rec.Body.String())
+				}
+			}
+		}
+		return got
+	}
+
+	for _, journaled := range []bool{true, false} {
+		cfg := baseConfig(t)
+		if journaled {
+			cfg.JournalPath = filepath.Join(t.TempDir(), "journal.jsonl")
+		}
+		s := newServer(t, cfg)
+		sub := goldenSubmission(t)
+		sub.StaticOnly = true
+		var ids []string
+		var newest JobStatus
+		for i := 0; i < journalTerminalKeep+3; i++ {
+			id := submit(t, s, sub)
+			if newest = waitDone(t, s, id); newest.State != StateDone {
+				t.Fatalf("journaled=%v: job %s state %s (error %+v)", journaled, id, newest.State, newest.Error)
+			}
+			ids = append(ids, id)
+		}
+		oldest, last := ids[0], ids[len(ids)-1]
+
+		s.mu.Lock()
+		inTable := len(s.jobs)
+		s.mu.Unlock()
+		if inTable != 0 {
+			t.Errorf("journaled=%v: %d finished jobs still in the job table", journaled, inTable)
+		}
+		live := answers(s, ids, "live")
+		if len(live) > journalTerminalKeep {
+			t.Errorf("journaled=%v: %d finished jobs answer, bound is %d", journaled, len(live), journalTerminalKeep)
+		}
+		if _, ok := live[oldest]; ok {
+			t.Errorf("journaled=%v: evicted job %s still answers", journaled, oldest)
+		}
+		if live[last] != newest {
+			t.Errorf("journaled=%v: newest job status %+v, Wait reported %+v", journaled, live[last], newest)
+		}
+		var v metricsView
+		if err := json.Unmarshal(get(s, "/metrics").Body.Bytes(), &v); err != nil {
+			t.Fatal(err)
+		}
+		if v.Jobs[StateDone] != len(live) {
+			t.Errorf("journaled=%v: /metrics counts %d done jobs, %d answer", journaled, v.Jobs[StateDone], len(live))
+		}
+		raw, norm := servedReport(t, s, last, false), servedReport(t, s, last, true)
+		s.Close()
+		if !journaled {
+			continue
+		}
+
+		cfg.Workers = -1
+		restarted := newServer(t, cfg)
+		if got := answers(restarted, ids, "restarted"); !reflect.DeepEqual(got, live) {
+			t.Errorf("restarted daemon answers for %d jobs, live one for %d, or their statuses differ", len(got), len(live))
+		}
+		if !bytes.Equal(servedReport(t, restarted, last, false), raw) || !bytes.Equal(servedReport(t, restarted, last, true), norm) {
+			t.Error("newest report differs after a restart")
+		}
+	}
 }
 
 // TestLegacyTerminalRecordReplay pins journal compatibility: a terminal

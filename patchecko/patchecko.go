@@ -195,9 +195,8 @@ type Analyzer struct {
 	// StaticOnly degrades the pipeline to its static stage: candidates are
 	// scored and reported, but dynamic validation and the differential
 	// verdict are shed. Every scan and the Report are explicitly marked
-	// Degraded — degradation is never silent. The scan service uses this
-	// under overload or deadline pressure to return a cheap partial answer
-	// instead of none.
+	// Degraded — degradation is never silent. The scan service sets it
+	// exactly when a submission asks for static_only.
 	StaticOnly bool
 
 	// cache is the private RefCache used when SharedCache is nil: per-CVE
@@ -623,8 +622,8 @@ type Report struct {
 	// Degraded marks a report produced with the dynamic and differential
 	// stages shed (Analyzer.StaticOnly): every result lists static
 	// candidates only, with no validation and no verdicts. The scan service
-	// sets this under overload or deadline pressure; it is never set
-	// silently — a degraded report says so. Omitted from JSON when false so
+	// produces one only for a submission that sets static_only; it is never
+	// set silently — a degraded report says so. Omitted from JSON when false so
 	// full-pipeline reports are unchanged.
 	Degraded bool `json:"Degraded,omitempty"`
 }
