@@ -22,13 +22,15 @@ lint:
 
 # Race coverage for the concurrent scan engine and candidate validation:
 # the parallel scan grid, the single-flight reference cache, the worker-pool
-# validator, the context watchdog, the fault-injection registry, and the
-# batched static-stage scorer all run under the race detector.
+# validator, the context watchdog, the fault-injection registry, the
+# batched static-stage scorer, and the component prefilter's signature
+# derivation (grid workers derive signatures concurrently) all run under
+# the race detector.
 # The golden equivalence matrix alone is minutes of scanning; under the
 # race detector on one core it overruns go test's default 10m deadline,
 # so give the gate an explicit budget.
 race:
-	$(GO) test -race -timeout 45m ./patchecko/ ./internal/dynamic/ ./internal/emu/ ./internal/faultinject/ ./internal/detector/ ./internal/nn/ ./internal/cas/ ./internal/server/
+	$(GO) test -race -timeout 45m ./patchecko/ ./internal/dynamic/ ./internal/emu/ ./internal/faultinject/ ./internal/detector/ ./internal/nn/ ./internal/cas/ ./internal/server/ ./internal/compid/
 
 bench:
 	$(GO) test -bench=. -benchmem

@@ -309,9 +309,11 @@ func runScan(args []string) (err error) {
 		// where the full scan would print a lookalike match. The prefilter
 		// never prunes a CVE's host image, so such a match is never the
 		// CVE's own function. -cve bypasses the skip — an explicit request
-		// is always scanned.
+		// is always scanned. A pruned CVE is one pruned cell: one image,
+		// one query mode.
 		if an.Prefilter && *cveID == "" && !an.PrefilterKeep(prepared, id) {
 			pruned++
+			an.Obs.Add(obs.CtrCellsPruned, 1)
 			fmt.Printf("%-16s pruned (component prefilter: image lacks the CVE's component fingerprint)\n", id)
 			continue
 		}

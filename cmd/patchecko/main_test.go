@@ -91,6 +91,38 @@ func TestScanMetricsStageTimes(t *testing.T) {
 	}
 }
 
+// TestScanMetricsCountsPruning runs `patchecko scan -metrics` over every CVE
+// of the fixture image and checks that the manifest's cells_pruned counts
+// each CVE the transcript prints as pruned: one image, one query mode.
+func TestScanMetricsCountsPruning(t *testing.T) {
+	modelPath, dbPath, imagePath := scanFixture(t)
+	manifestPath := filepath.Join(t.TempDir(), "manifest.json")
+	out := captureStdout(t, func() error {
+		return runScan([]string{"-model", modelPath, "-db", dbPath, "-image", imagePath,
+			"-workers", "1", "-metrics", manifestPath})
+	})
+	pruned := 0
+	for _, line := range strings.Split(string(out), "\n") {
+		if f := strings.Fields(line); len(f) >= 2 && f[1] == "pruned" && strings.HasPrefix(f[0], "CVE-") {
+			pruned++
+		}
+	}
+	raw, err := os.ReadFile(manifestPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var man obs.Manifest
+	if err := json.Unmarshal(raw, &man); err != nil {
+		t.Fatal(err)
+	}
+	if pruned == 0 {
+		t.Fatal("the transcript prunes no CVE; the check is vacuous")
+	}
+	if got := man.Counters[obs.CtrCellsPruned.String()]; got != int64(pruned) {
+		t.Errorf("manifest cells_pruned = %d, want %d (one per pruned line)", got, pruned)
+	}
+}
+
 // TestScanTranscript pins the stdout of `patchecko scan` over every CVE of
 // the seed-42 tiny fixture image, once with the component prefilter on and
 // once with it off, against the transcripts committed under testdata. Any

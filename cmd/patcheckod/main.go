@@ -62,7 +62,7 @@ func run() (err error) {
 
 		deadline = fs.Duration("deadline", 0, "per-job wall-clock bound (0 = none); a job still running at it fails with \"deadline\"")
 
-		journal = fs.String("journal", "", "crash-safe job journal path (empty = in memory only, no resume); either way at most the 64 most recently finished jobs stay queryable")
+		journal = fs.String("journal", "", "crash-safe job journal path (empty = in memory only, no resume); either way the 64 most recently finished jobs stay queryable")
 
 		storeDir = fs.String("store", "", "persistent score-store directory shared by all jobs")
 		storeMax = fs.Int64("store-max", 0, "score-store on-disk byte budget (0 = default 64MiB)")

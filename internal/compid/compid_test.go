@@ -3,6 +3,8 @@ package compid
 import (
 	"bytes"
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/binimg"
@@ -340,5 +342,45 @@ func TestMatchesChannels(t *testing.T) {
 	}
 	if !degen.Degenerate() || sig.Degenerate() {
 		t.Error("Degenerate() disagrees with the spread threshold")
+	}
+}
+
+// TestSignatureForConcurrent pins what the scan grid relies on when its
+// workers make keep decisions at once: deriving every CVE's signature on
+// every architecture from 8 goroutines gives exactly the sequential
+// derivations.
+func TestSignatureForConcurrent(t *testing.T) {
+	type job struct {
+		id   string
+		arch *isa.Arch
+	}
+	var jobs []job
+	for _, arch := range isa.All() {
+		for _, pair := range minic.CVEs() {
+			jobs = append(jobs, job{pair.ID, arch})
+		}
+	}
+	got := make([]*Signature, len(jobs))
+	errs := make([]error, len(jobs))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < len(jobs); i = int(next.Add(1) - 1) {
+				got[i], errs[i] = SignatureFor(jobs[i].id, jobs[i].arch)
+			}
+		}()
+	}
+	wg.Wait()
+	for i, jb := range jobs {
+		want, err := SignatureFor(jb.id, jb.arch)
+		if err != nil || errs[i] != nil {
+			t.Fatalf("%s on %s: sequential error %v, concurrent error %v", jb.id, jb.arch.Name, err, errs[i])
+		}
+		if !reflect.DeepEqual(got[i], want) {
+			t.Errorf("%s on %s: concurrent derivation differs from sequential", jb.id, jb.arch.Name)
+		}
 	}
 }

@@ -24,7 +24,7 @@ const (
 	EvCandidateExcluded                      // dynamic validation excluded a candidate
 	EvVerdictReached                         // the differential stage decided a cell's verdict
 	EvScanError                              // a typed ScanError was recorded (passthrough)
-	EvPrefilter                              // component prefilter decided one CVE row's keeps
+	EvPrefilter                              // one CVE row's prefilter outcome, after any rescue
 
 	// Scan-service job lifecycle. Emitted into the job's own traced sink,
 	// interleaved with the scan events above, so /jobs/{id}/events streams
@@ -88,8 +88,9 @@ func (k *EventKind) UnmarshalJSON(b []byte) error {
 //	candidate_excluded: CVE, Library, Mode, Addr, Reason
 //	verdict_reached:    CVE, Library, Mode, Addr, Patched, Confidence
 //	scan_error:         CVE, Library, Mode, Fail, Reason
-//	prefilter:          CVE, Images (candidate images), Pruned (images pruned),
-//	                    Reason (set when the row degraded to the full grid)
+//	prefilter:          CVE, Images (candidate images), Pruned (images left
+//	                    pruned after any rescue), Reason (set when the row
+//	                    had no signature or its pruned cells were rescued)
 type Event struct {
 	Seq  uint64    `json:"seq"`
 	Kind EventKind `json:"kind"`

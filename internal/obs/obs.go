@@ -105,10 +105,11 @@ const (
 	CtrJournalOK     // journal appends that reached disk
 	CtrJournalErrors // journal appends that failed (crash-safety degraded)
 
-	// Component-identification prefilter (grid pruning). Counted from the
-	// sequential prefilter pass before the grid is scheduled.
+	// Component-identification prefilter (grid pruning). Counted by the
+	// scan's deterministic reduction, except compid.match faults, which
+	// count as the grid tasks hit them.
 	CtrCellsPruned       // (image, CVE, mode) grid cells skipped by the prefilter
-	CtrPrefilterDegraded // CVE rows degraded to the full grid (fault, no signature, all-pruned row)
+	CtrPrefilterDegraded // prefilter degrades: faulted keep decisions, rows without a signature, rescued rows
 
 	NumCounters
 )

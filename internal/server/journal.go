@@ -12,7 +12,8 @@
 //   - a torn final line (the crash happened mid-append) is detected on open
 //     and truncated away — the corrupt tail costs at most the one record
 //     that was never acked;
-//   - rotation is compaction: when the file outgrows its budget it is
+//   - rotation is compaction: when the file outgrows its budget — or twice
+//     what the last compaction wrote, whichever is larger — it is
 //     rewritten to hold the live (non-terminal) jobs and the retained
 //     terminal records, via temp file + rename, so readers never observe a
 //     half-rotated journal;
@@ -94,7 +95,11 @@ type Journal struct {
 	f    *os.File
 	size int64
 	max  int64
-	seq  uint64
+	// compacted is the size the last compaction wrote: the file compacts
+	// again once it doubles that, so retained reports larger than the
+	// budget are not rewritten on every append.
+	compacted int64
+	seq       uint64
 	// live maps job id to its submission record for every job that has been
 	// admitted but not terminated; compaction always keeps these, and
 	// recovery re-enqueues them.
@@ -112,9 +117,7 @@ const defaultJournalMax = 4 << 20
 
 // journalTerminalKeep bounds how many finished jobs every daemon, journaled
 // or not, answers for: the journal retains this many terminal records and
-// forgets the oldest first. Compaction additionally drops the oldest ones
-// until the rewritten file fits half the rotation budget, so live
-// submissions always win space over finished reports.
+// forgets the oldest first.
 const journalTerminalKeep = 64
 
 // openJournal opens (creating if needed) the journal at path and replays it
@@ -236,7 +239,7 @@ func (j *Journal) append(rec *record) error {
 		return err
 	}
 	j.obs.Add(obs.CtrJournalOK, 1)
-	if j.size > j.max {
+	if j.size > max(j.max, 2*j.compacted) {
 		j.compactLocked()
 	}
 	return nil
@@ -264,39 +267,16 @@ func (j *Journal) writeLocked(rec *record) error {
 
 // compactLocked rewrites the journal to hold the live jobs' submission
 // records plus the retained terminal records, atomically (temp file +
-// rename). Live records always survive; terminal records are dropped oldest
-// first until the rewrite fits half the rotation budget, so report payloads
-// can never crowd out crash-safety or pin the file above its budget. Kept
-// lines are copied from the current file, read once, rather than encoded
-// again. On any failure the original file keeps working — compaction is
-// retried after the next append. Callers hold j.mu.
+// rename). Kept lines are copied from the current file, read once, rather
+// than encoded again. On any failure the original file keeps working —
+// compaction is retried after the next append. Callers hold j.mu.
 func (j *Journal) compactLocked() {
 	raw, _ := os.ReadFile(j.path) // unreadable: every line is encoded afresh
-	liveRecs := sortedBySeq(j.live)
-	liveLines, ok := linesOf(raw, liveRecs)
+	recs := append(sortedBySeq(j.live), sortedBySeq(j.terminal)...)
+	lines, ok := linesOf(raw, recs)
 	if !ok {
 		return
 	}
-	var size int64
-	for _, line := range liveLines {
-		size += int64(len(line))
-	}
-	termRecs := sortedBySeq(j.terminal)
-	termLines, ok := linesOf(raw, termRecs)
-	if !ok {
-		return
-	}
-	keepFrom := 0
-	for _, line := range termLines {
-		size += int64(len(line))
-	}
-	for keepFrom < len(termRecs) && size > j.max/2 {
-		size -= int64(len(termLines[keepFrom]))
-		delete(j.terminal, termRecs[keepFrom].Job)
-		keepFrom++
-	}
-	recs := append(liveRecs, termRecs[keepFrom:]...)
-	lines := append(liveLines, termLines[keepFrom:]...)
 
 	tmp, err := os.CreateTemp(filepath.Dir(j.path), "journal-*")
 	if err != nil {
@@ -324,10 +304,10 @@ func (j *Journal) compactLocked() {
 		os.Remove(tmp.Name())
 		return
 	}
-	var off int64
+	var size int64
 	for i, rec := range recs {
-		rec.off, rec.n = off, int64(len(lines[i]))
-		off += rec.n
+		rec.off, rec.n = size, int64(len(lines[i]))
+		size += rec.n
 	}
 	f, err := os.OpenFile(j.path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -339,7 +319,7 @@ func (j *Journal) compactLocked() {
 	}
 	j.f.Close()
 	j.f = f
-	j.size = size
+	j.size, j.compacted = size, size
 }
 
 // linesOf renders records as newline-terminated JSONL lines. A record's

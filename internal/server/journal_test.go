@@ -136,7 +136,8 @@ func TestJournalCorruptMiddle(t *testing.T) {
 }
 
 // TestJournalCompaction: outgrowing the byte budget rewrites the file down
-// to the live submission records, atomically, without losing any live job.
+// to the live submission records and the retained terminal records,
+// atomically, without losing any of them.
 func TestJournalCompaction(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.jsonl")
 	j, _, err := openJournal(path, 512, nil)
@@ -155,8 +156,18 @@ func TestJournalCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Size() > 2048 {
-		t.Fatalf("journal never compacted: %d bytes on disk", info.Size())
+	// A compaction fires once the file doubles what the last one wrote, so
+	// the file stays within twice the encoding of what the journal retains.
+	var retained int64
+	for _, rec := range append(sortedBySeq(j.live), sortedBySeq(j.terminal)...) {
+		data, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		retained += int64(len(data)) + 1
+	}
+	if info.Size() > 2*retained {
+		t.Fatalf("journal never compacted: %d bytes on disk, %d retained", info.Size(), retained)
 	}
 	j.Close()
 	// Reopen under a roomy budget so only the explicit compactions below run.
@@ -167,6 +178,9 @@ func TestJournalCompaction(t *testing.T) {
 	defer re.Close()
 	if len(pending) != 2 || pending[0].Job != "job-live-1" || pending[1].Job != "job-live-2" {
 		t.Fatalf("post-compaction replay = %v, want the two live jobs in order", pending)
+	}
+	if len(re.terminal) != 40 {
+		t.Fatalf("post-compaction replay kept %d finished jobs, want all 40", len(re.terminal))
 	}
 
 	// Compaction copies kept lines instead of encoding them again, so the
@@ -209,8 +223,8 @@ func TestJournalCompaction(t *testing.T) {
 // TestJournalTerminalRetention pins the finished-job replay contract at the
 // journal layer: terminal records come back in termination order with their
 // outcome fields intact, retention is bounded by journalTerminalKeep (oldest
-// evicted first), and compaction keeps live submissions at the expense of
-// the oldest finished reports — never the other way around.
+// evicted first), and compaction under a tiny byte budget loses neither live
+// submissions nor finished records.
 func TestJournalTerminalRetention(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.jsonl")
 	j, _, err := openJournal(path, 0, nil)
@@ -248,8 +262,8 @@ func TestJournalTerminalRetention(t *testing.T) {
 		}
 	}
 
-	// A tiny byte budget: compaction must shed finished records to fit, but
-	// every live submission survives.
+	// A tiny byte budget forces compaction after compaction; every live
+	// submission survives them.
 	tight, _, err := openJournal(filepath.Join(t.TempDir(), "tight.jsonl"), 512, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -276,6 +290,64 @@ func TestJournalTerminalRetention(t *testing.T) {
 		if finished[i-1].Seq >= finished[i].Seq {
 			t.Errorf("finished records out of seq order: %d >= %d", finished[i-1].Seq, finished[i].Seq)
 		}
+	}
+}
+
+// TestJournalRetentionIgnoresBudget pins the one retention rule for large
+// reports: finished jobs whose records together far exceed the byte budget
+// still number exactly journalTerminalKeep, in memory and after a reopen,
+// so a journaled daemon answers for as many finished scans as a file-less
+// one. Each record carries ~100 KB, the size of a full-scan report, and the
+// small budget forces several compactions.
+func TestJournalRetentionIgnoresBudget(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	const budget = 1 << 20
+	j, _, err := openJournal(path, budget, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := string(bytes.Repeat([]byte("r"), 100<<10))
+	total := journalTerminalKeep + 16
+	compactions := 0
+	for i := 0; i < total; i++ {
+		id := fmt.Sprintf("job-%03d", i)
+		j.append(&record{Kind: recSubmitted, Job: id, Sub: testSub("t")})
+		// A compaction relocates the record just appended.
+		before := j.size
+		done := &record{Kind: recDone, Job: id, Tenant: "t", ErrMsg: payload}
+		j.append(done)
+		if done.off != before {
+			compactions++
+		}
+	}
+	if compactions < 2 {
+		t.Fatalf("%d compactions; the fixture must force several", compactions)
+	}
+	want := make([]string, 0, journalTerminalKeep)
+	for i := total - journalTerminalKeep; i < total; i++ {
+		want = append(want, fmt.Sprintf("job-%03d", i))
+	}
+	ids := func(m map[string]*record) []string {
+		var out []string
+		for _, rec := range sortedBySeq(m) {
+			out = append(out, rec.Job)
+		}
+		return out
+	}
+	if got := ids(j.terminal); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("in memory: %d finished jobs %v, want the %d newest", len(got), got, journalTerminalKeep)
+	}
+	j.Close()
+	re, pending, err := openJournal(path, budget, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if len(pending) != 0 {
+		t.Errorf("finished jobs replayed as pending: %d", len(pending))
+	}
+	if got := ids(re.terminal); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("after reopen: %d finished jobs %v, want the same %d", len(got), got, journalTerminalKeep)
 	}
 }
 

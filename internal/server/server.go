@@ -105,8 +105,9 @@ type Config struct {
 	JobDeadline time.Duration
 
 	// JournalPath is the crash-safe job journal's file ("" = in memory
-	// only: no crash safety, no resume; finished jobs are retained under the
-	// same bound either way). It compacts past 4 MiB.
+	// only: no crash safety, no resume; the 64 most recently finished jobs
+	// are retained either way). It compacts past 4 MiB, or past twice what
+	// its last compaction wrote when that is larger.
 	JournalPath string
 
 	// Store is the optional persistent static-score store shared by all

@@ -661,11 +661,12 @@ func TestFinishedJobReplay(t *testing.T) {
 }
 
 // TestFinishedJobRetention pins the one retention rule for finished jobs: a
-// job leaves the job table once its terminal record is journaled, only the
-// journal's journalTerminalKeep most recent terminal records answer for
-// finished jobs, with or without a journal file, and a restarted daemon
-// gives every id the answer the live one gave: the same status and report
-// bytes, or the same 404.
+// job leaves the job table once its terminal record is journaled, exactly
+// the journal's journalTerminalKeep most recent terminal records answer for
+// finished full scans, with or without a journal file (their reports
+// together far exceed the file's byte budget), and a restarted daemon gives
+// every id the answer the live one gave: the same status and report bytes,
+// or the same 404.
 func TestFinishedJobRetention(t *testing.T) {
 	get := func(s *Server, url string) *httptest.ResponseRecorder {
 		rec := httptest.NewRecorder()
@@ -705,7 +706,6 @@ func TestFinishedJobRetention(t *testing.T) {
 		}
 		s := newServer(t, cfg)
 		sub := goldenSubmission(t)
-		sub.StaticOnly = true
 		var ids []string
 		var newest JobStatus
 		for i := 0; i < journalTerminalKeep+3; i++ {
@@ -724,8 +724,8 @@ func TestFinishedJobRetention(t *testing.T) {
 			t.Errorf("journaled=%v: %d finished jobs still in the job table", journaled, inTable)
 		}
 		live := answers(s, ids, "live")
-		if len(live) > journalTerminalKeep {
-			t.Errorf("journaled=%v: %d finished jobs answer, bound is %d", journaled, len(live), journalTerminalKeep)
+		if len(live) != journalTerminalKeep {
+			t.Errorf("journaled=%v: %d finished jobs answer, want %d", journaled, len(live), journalTerminalKeep)
 		}
 		if _, ok := live[oldest]; ok {
 			t.Errorf("journaled=%v: evicted job %s still answers", journaled, oldest)

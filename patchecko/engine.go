@@ -329,7 +329,7 @@ type ScanStats struct {
 	Images      int           // library images prepared
 	CVEs        int           // CVEs scanned
 	ScansRun    int           // (image, CVE, mode) grid cells completed
-	CellsPruned int           // grid cells the component prefilter skipped (see Analyzer.Prefilter)
+	CellsPruned int           // grid cells the component prefilter skipped, net of rescued rows (see Analyzer.Prefilter)
 	CacheHits   int64         // reference-profile consults answered from cache
 	CacheMisses int64         // reference-profile consults that computed
 	PrepareWall time.Duration // wall-clock of the prepare stage
@@ -523,10 +523,13 @@ func (a *Analyzer) ScanFirmware(ctx context.Context, fw *Firmware) (*Report, err
 	}
 	a.Obs.Add(obs.CtrFuncsUnique, int64(len(uniqAddrs)))
 
-	// The scan grid. Task index encodes the sequential iteration order
-	// (CVE, then image, then mode), which the reduction below relies on.
+	// The scan grid: one task per (CVE, image) pair, taken in sequential
+	// iteration order (CVE, then image). A task first asks the component
+	// prefilter whether the pair is worth scanning, then runs both query
+	// modes; cell (ci, pi, mi) lands at index (ci*len(prepared)+pi)*2+mi,
+	// which the reduction below relies on.
 	modes := [2]QueryMode{QueryVulnerable, QueryPatched}
-	nTasks := len(ids) * len(prepared) * len(modes)
+	nTasks := len(ids) * len(prepared)
 	if workers > nTasks {
 		workers = nTasks
 	}
@@ -544,13 +547,12 @@ func (a *Analyzer) ScanFirmware(ctx context.Context, fw *Firmware) (*Report, err
 	hits0, misses0 := a.consults.refHits.Load(), a.consults.refMisses.Load()
 	dedup0 := a.DedupCounts()
 	scanWatch := obs.StartStopwatch()
-	// Component-identification prefilter: a sequential pass deciding which
-	// (image, CVE) rows the grid schedules at all. keep is nil when the
-	// prefilter is off; pruned cells are skipped below and counted in
-	// Stats.CellsPruned.
-	keep, cellsPruned := a.prefilterGrid(prepared, ids, len(modes))
-	scans := make([]*CVEScan, nTasks)
-	errs := make([]error, nTasks)
+	scans := make([]*CVEScan, nTasks*len(modes))
+	errs := make([]error, nTasks*len(modes))
+	// pruned[ci*len(prepared)+pi] marks the pairs the prefilter skipped; the
+	// reduction counts them and runs them after all if their row answers
+	// nothing.
+	pruned := make([]bool, nTasks)
 	var (
 		next atomic.Int64
 		ran  atomic.Int64
@@ -565,29 +567,31 @@ func (a *Analyzer) ScanFirmware(ctx context.Context, fw *Firmware) (*Report, err
 			// runs, so steady-state static scoring never allocates.
 			sc := a.newScorer()
 			for {
-				i := int(next.Add(1) - 1)
-				if i >= nTasks || ctx.Err() != nil {
+				t := int(next.Add(1) - 1)
+				if t >= nTasks || ctx.Err() != nil {
 					return
 				}
-				mi := i % len(modes)
-				pi := (i / len(modes)) % len(prepared)
-				ci := i / (len(modes) * len(prepared))
-				if prepared[pi] == nil {
+				p, id := prepared[t%len(prepared)], ids[t/len(prepared)]
+				if p == nil {
 					continue // image failed prepare; recorded already
 				}
-				if keep != nil && !keep[ci][pi] {
-					continue // pruned by the component prefilter; counted already
-				}
-				scan, err := a.runCell(ctx, prepared[pi], ids[ci], modes[mi], validateWorkers, sc)
-				if err != nil {
-					if ctx.Err() != nil {
-						return
-					}
-					errs[i] = err
+				if a.Prefilter && !a.PrefilterKeep(p, id) {
+					pruned[t] = true
 					continue
 				}
-				scans[i] = scan
-				ran.Add(1)
+				for mi, mode := range modes {
+					i := t*len(modes) + mi
+					scan, err := a.runCell(ctx, p, id, mode, validateWorkers, sc)
+					if err != nil {
+						if ctx.Err() != nil {
+							return
+						}
+						errs[i] = err
+						continue
+					}
+					scans[i] = scan
+					ran.Add(1)
+				}
 			}
 		}()
 	}
@@ -608,9 +612,7 @@ func (a *Analyzer) ScanFirmware(ctx context.Context, fw *Firmware) (*Report, err
 	}
 	stats := ScanStats{ImagesFailed: len(prepErrs)}
 	seen := make(map[ScanError]bool)
-	rescued := 0
 	var rescueSc *detector.Scorer
-	rescueScReady := false
 	for ci, id := range ids {
 		var best *CVEScan
 		foldCell := func(pi, mi int) {
@@ -638,31 +640,41 @@ func (a *Analyzer) ScanFirmware(ctx context.Context, fw *Firmware) (*Report, err
 				best = scan
 			}
 		}
-		for pi := range prepared {
+		healthy, rowPruned, arch := 0, 0, ""
+		for pi, p := range prepared {
+			if p == nil {
+				continue
+			}
+			healthy++
+			if arch == "" {
+				arch = p.Image.Arch
+			}
+			if pruned[ci*len(prepared)+pi] {
+				rowPruned++
+				continue
+			}
 			for mi := range modes {
 				foldCell(pi, mi)
 			}
 		}
-		if best == nil && keep != nil {
-			// Second-chance pass: every cell the prefilter scheduled for
-			// this CVE failed (or none were healthy), yet pruned cells
-			// remain. A pruned cell never holds the CVE's host, but it may
-			// hold a lookalike the full grid would have matched — and a
-			// report answer must never depend on the prefilter — so run the
-			// pruned cells now, sequentially, and fold them in grid order.
-			rescuedRow := 0
+		reason := ""
+		if best == nil && rowPruned > 0 {
+			// Rescue pass, the one path that degrades a row: no kept cell
+			// answered — the filter kept none, or every kept cell failed.
+			// A pruned cell never holds the CVE's host, but it may hold a
+			// lookalike the full grid would have matched, and a report
+			// answer must never depend on the prefilter, so run the pruned
+			// cells now, sequentially, and fold them in grid order.
 			for pi := range prepared {
-				if prepared[pi] == nil || keep[ci][pi] {
+				if !pruned[ci*len(prepared)+pi] {
 					continue
 				}
-				keep[ci][pi] = true
-				for mi := range modes {
+				for mi, mode := range modes {
 					i := (ci*len(prepared)+pi)*len(modes) + mi
-					if !rescueScReady {
+					if rescueSc == nil {
 						rescueSc = a.newScorer()
-						rescueScReady = true
 					}
-					scan, err := a.runCell(ctx, prepared[pi], id, modes[mi], validateWorkers, rescueSc)
+					scan, err := a.runCell(ctx, prepared[pi], id, mode, validateWorkers, rescueSc)
 					if err != nil {
 						if cerr := ctx.Err(); cerr != nil {
 							return nil, cerr
@@ -672,20 +684,25 @@ func (a *Analyzer) ScanFirmware(ctx context.Context, fw *Firmware) (*Report, err
 						scans[i] = scan
 						ran.Add(1)
 					}
-					rescued++
-					rescuedRow++
 					foldCell(pi, mi)
 				}
 			}
-			if rescuedRow > 0 {
-				a.Obs.Add(obs.CtrPrefilterDegraded, 1)
-				a.Obs.Emit(obs.Event{
-					Kind:   obs.EvPrefilter,
-					CVE:    id,
-					Images: rescuedRow / len(modes),
-					Reason: "all kept cells failed; ran pruned cells",
-				})
-			}
+			rowPruned = 0
+			reason = "no kept cell answered; ran pruned cells"
+			a.Obs.Add(obs.CtrPrefilterDegraded, 1)
+		} else if a.Prefilter && healthy > 0 && a.signatureFor(id, arch) == nil {
+			reason = "no signature; kept full row"
+			a.Obs.Add(obs.CtrPrefilterDegraded, 1)
+		}
+		if a.Prefilter && healthy > 0 {
+			stats.CellsPruned += rowPruned * len(modes)
+			a.Obs.Emit(obs.Event{
+				Kind:   obs.EvPrefilter,
+				CVE:    id,
+				Images: healthy,
+				Pruned: rowPruned,
+				Reason: reason,
+			})
 		}
 		report.Results[id] = best
 		if best != nil {
@@ -698,7 +715,6 @@ func (a *Analyzer) ScanFirmware(ctx context.Context, fw *Firmware) (*Report, err
 	stats.Images = len(prepared)
 	stats.CVEs = len(ids)
 	stats.ScansRun = int(ran.Load())
-	stats.CellsPruned = cellsPruned - rescued
 	stats.CacheHits = hits1 - hits0
 	stats.CacheMisses = misses1 - misses0
 	stats.PrepareWall = prepWall

@@ -300,10 +300,11 @@ func TestScanMetricsConsistency(t *testing.T) {
 		if got := sink.Get(obs.CtrCandidatesExcluded); got != evExcluded {
 			t.Errorf("workers=%d: candidates_excluded = %d, want %d exclusion events", workers, got, evExcluded)
 		}
-		// The prefilter (on by default) runs before the grid: its trace
-		// events account for every pruned cell (two query modes per pruned
-		// image), the pruned/scanned split partitions the full grid, and on
-		// this fixture it must actually prune.
+		// The prefilter (on by default) decides each (CVE, image) task's
+		// keep on the pool, and the reduction emits one trace event per row:
+		// those events account for every pruned cell (two query modes per
+		// pruned image), the pruned/scanned split partitions the full grid,
+		// and on this fixture it must actually prune.
 		if got := sink.Get(obs.CtrCellsPruned); got != evPruned*2 {
 			t.Errorf("workers=%d: cells_pruned = %d, want 2× the %d images pruned in prefilter events",
 				workers, got, evPruned)

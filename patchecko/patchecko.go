@@ -176,21 +176,22 @@ type Analyzer struct {
 	// comparisons).
 	SharedCache *RefCache
 	// Prefilter — on by default via NewAnalyzer — runs the component-
-	// identification prefilter (internal/compid) before ScanFirmware
-	// schedules its grid: each prepared image is fingerprinted once, and a
-	// CVE row only schedules the images whose fingerprints match the CVE's
-	// component signature. The keep rule is calibrated recall-safe: a
-	// CVE's ground-truth host image is never pruned, and a pruned
-	// lookalike never beats the host's match, so reports are
+	// identification prefilter (internal/compid) inside ScanFirmware's
+	// grid: each prepared image is fingerprinted once, and each
+	// (CVE, image) task scans the pair only if the image's fingerprint
+	// matches the CVE's component signature. The keep rule is calibrated
+	// recall-safe: a CVE's ground-truth host image is never pruned, and a
+	// pruned lookalike never beats the host's match, so reports are
 	// byte-identical with the prefilter on or off (after Normalize, which
 	// zeroes the grid-scheduling accounting). The recall suite pins both
 	// against the full grid rather than assuming them. A pruned cell may
 	// still hold a lookalike the full grid would have matched, so a
-	// single-image answer can differ. Every escape path (no derivable signature, a degenerate
-	// signature, an armed compid.match fault, a row the filter would empty)
-	// degrades to the full grid; pruning is never silent — see
-	// Stats.CellsPruned, the cells_pruned/prefilter_degraded counters and
-	// the prefilter trace event.
+	// single-image answer can differ. No derivable signature, a degenerate
+	// signature and an armed compid.match fault keep the cell; a row with
+	// no kept cell that answered — all pruned, or every kept cell failed —
+	// runs its pruned cells in the reduction's rescue pass. Pruning is
+	// never silent — see Stats.CellsPruned, the cells_pruned and
+	// prefilter_degraded counters and the per-row prefilter trace event.
 	Prefilter bool
 	// StaticOnly degrades the pipeline to its static stage: candidates are
 	// scored and reported, but dynamic validation and the differential

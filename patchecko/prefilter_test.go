@@ -4,14 +4,18 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"os"
 	"testing"
 
 	"repro/internal/binimg"
 	"repro/internal/compid"
 	"repro/internal/corpus"
+	"repro/internal/faultinject"
 	"repro/internal/isa"
 	"repro/internal/minic"
+	"repro/internal/obs"
+	"repro/internal/vulndb"
 )
 
 // prefilterFleet extends a device's firmware with generated vendor libraries
@@ -133,6 +137,30 @@ func TestPrefilterRecall(t *testing.T) {
 	}
 }
 
+// prunedCells makes every keep decision of a scan of prepared and counts
+// the grid cells the prefilter leaves out: two query modes per pruned
+// (CVE, image) pair, except in rows it would empty, which the scan's rescue
+// pass runs in full.
+func prunedCells(an *Analyzer, prepared []*PreparedImage, ids []string) int {
+	cells := 0
+	for _, id := range ids {
+		healthy, pruned := 0, 0
+		for _, p := range prepared {
+			if p == nil {
+				continue
+			}
+			healthy++
+			if !an.PrefilterKeep(p, id) {
+				pruned++
+			}
+		}
+		if pruned < healthy {
+			cells += 2 * pruned
+		}
+	}
+	return cells
+}
+
 func buildDeviceFw(t *testing.T, dev Device) *Firmware {
 	t.Helper()
 	fw, err := BuildFirmware(dev, ScaleTiny)
@@ -143,7 +171,7 @@ func buildDeviceFw(t *testing.T, dev Device) *Firmware {
 }
 
 // prefilterArtifact is the "prefilter" object merged into BENCH_static.json:
-// the prefilter pass's cost next to what it removes from the grid.
+// the keep decisions' cost next to what they remove from the grid.
 type prefilterArtifact struct {
 	Benchmark string         `json:"benchmark"`
 	Rows      []prefilterRow `json:"rows"`
@@ -170,12 +198,12 @@ type prefilterCosts struct {
 	// SignatureNsPerCVE is the one-time per-(CVE, arch) derivation cost,
 	// memoized for the life of the analyzer.
 	SignatureNsPerCVE int64 `json:"signature_ns_per_cve"`
-	// KeepMatrixNs is the warm per-scan cost of the whole keep matrix.
+	// KeepMatrixNs is the warm per-scan cost of every keep decision.
 	KeepMatrixNs int64 `json:"keep_matrix_ns"`
 }
 
 // TestWritePrefilterBenchArtifact measures the prefilter's grid reduction
-// and recall on the device and fleet fixtures plus the pass's own costs, and
+// and recall on the device and fleet fixtures plus its own costs, and
 // merges the "prefilter" object into the artifact at PATCHECKO_BENCH_OUT.
 // Skipped when the variable is unset; `make bench-static` opts in after the
 // detector writer has run.
@@ -219,10 +247,7 @@ func TestWritePrefilterBenchArtifact(t *testing.T) {
 				healthy++
 			}
 		}
-		keep, pruned := an.prefilterGrid(prepared, ids, 2)
-		if keep == nil {
-			t.Fatal("prefilterGrid returned no keep matrix with the prefilter on")
-		}
+		pruned := prunedCells(an, prepared, ids)
 		full := len(ids) * healthy * 2
 		row := prefilterRow{
 			Fixture:     fx.name,
@@ -242,7 +267,7 @@ func TestWritePrefilterBenchArtifact(t *testing.T) {
 	}
 
 	// Costs, on the fleet fixture: cold fingerprint extraction per image,
-	// cold signature derivation per CVE, and the warm keep matrix.
+	// cold signature derivation per CVE, and one scan's warm keep decisions.
 	fleet := fixtures[len(fixtures)-1].fw
 	fpRes := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -260,10 +285,10 @@ func TestWritePrefilterBenchArtifact(t *testing.T) {
 		}
 	})
 	warm := &Analyzer{Prefilter: true}
-	warm.prefilterGrid(fleetPrepared, ids, 2)
+	prunedCells(warm, fleetPrepared, ids)
 	keepRes := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			warm.prefilterGrid(fleetPrepared, ids, 2)
+			prunedCells(warm, fleetPrepared, ids)
 		}
 	})
 	art.Costs = prefilterCosts{
@@ -271,7 +296,7 @@ func TestWritePrefilterBenchArtifact(t *testing.T) {
 		SignatureNsPerCVE:     sigRes.NsPerOp() / int64(len(ids)),
 		KeepMatrixNs:          keepRes.NsPerOp(),
 	}
-	t.Logf("fingerprint %d ns/image, signature %d ns/cve, warm keep matrix %d ns",
+	t.Logf("fingerprint %d ns/image, signature %d ns/cve, warm keep decisions %d ns",
 		art.Costs.FingerprintNsPerImage, art.Costs.SignatureNsPerCVE, art.Costs.KeepMatrixNs)
 
 	for _, row := range art.Rows {
@@ -302,4 +327,174 @@ func TestWritePrefilterBenchArtifact(t *testing.T) {
 	if err := os.WriteFile(out, append(raw, '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestPrefilterRescue pins the rescue pass, the one path that degrades a
+// prefiltered row: a row with no kept cell that answered runs its pruned
+// cells after all, counts one prefilter_degraded, and reports exactly what
+// the full grid reports. Two scans reach it:
+//
+//   - a one-image firmware (the golden fixture's libstagefright), where
+//     every CVE the image does not host a component of has its whole row
+//     pruned, so nothing may stay pruned; its database adds one custom
+//     advisory, which has no signature and so keeps its row;
+//   - the golden firmware with a worker panic armed on every kept cell of
+//     one CVE row, whose pruned cells must then run.
+//
+// Both must emit exactly one prefilter event per row, account every pruned
+// cell in it (cells_pruned == 2 × Σ Pruned) and every degrade in
+// prefilter_degraded, and keep their counters identical at workers 1/4/16.
+func TestPrefilterRescue(t *testing.T) {
+	model, goldenDB, fw := goldenFixtures(t)
+	const (
+		rescueReason = "no kept cell answered; ran pruned cells"
+		noSigReason  = "no signature; kept full row"
+		advisory     = "ADV-0001"
+	)
+	withAdvisory := &DB{Entries: append([]*vulndb.Entry(nil), goldenDB.Entries...)}
+	if err := AddCVE(withAdvisory, CustomCVE{
+		ID:         advisory,
+		Library:    "libcustom",
+		FuncName:   "decode",
+		Vulnerable: "func decode(p, n) { i = 0; s = 0; while (i <= n) { s = s + p[i]; i = i + 1; } return s; }",
+		Patched:    "func decode(p, n) { i = 0; s = 0; while (i < n) { s = s + p[i]; i = i + 1; } return s; }",
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	var lib *binimg.Image
+	for _, im := range fw.Images {
+		if im.LibName == "libstagefright" {
+			lib = im
+		}
+	}
+	if lib == nil {
+		t.Fatal("golden firmware has no libstagefright image")
+	}
+	oneImage := *fw
+	oneImage.Images = []*binimg.Image{lib}
+
+	prepared, err := PrepareImages(context.Background(), fw.Images, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keeper := NewAnalyzer(model, goldenDB)
+	var panicCVE string
+	var panicLibs []string
+	emptied := 0
+	for _, id := range goldenDB.IDs() {
+		var kept []string
+		for _, p := range prepared {
+			if keeper.PrefilterKeep(p, id) {
+				kept = append(kept, p.Image.LibName)
+			} else if p.Image.LibName == lib.LibName {
+				emptied++
+			}
+		}
+		if panicCVE == "" && len(kept) < len(prepared) {
+			panicCVE, panicLibs = id, kept
+		}
+	}
+	if emptied == 0 || panicCVE == "" {
+		t.Fatalf("fixture reaches no rescue: %d rows emptied on %s, partly pruned row %q",
+			emptied, lib.LibName, panicCVE)
+	}
+
+	// scan runs one configuration and checks the per-row event accounting,
+	// returning the normalized report bytes, the counters and the rescued
+	// row count.
+	scan := func(t *testing.T, fw *Firmware, db *DB, workers int, prefilter bool) ([]byte, map[string]int64, int) {
+		t.Helper()
+		sink := obs.NewTraced(0)
+		an := NewAnalyzer(model, db)
+		an.Workers = workers
+		an.Prefilter = prefilter
+		an.Obs = sink
+		report, err := an.ScanFirmware(context.Background(), fw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		events := make(map[string]int)
+		sumPruned, rescued, degraded := 0, 0, 0
+		for _, ev := range sink.Events() {
+			if ev.Kind != obs.EvPrefilter {
+				continue
+			}
+			events[ev.CVE]++
+			sumPruned += ev.Pruned
+			if ev.Reason != "" {
+				degraded++
+				if ev.Pruned != 0 {
+					t.Errorf("workers=%d: degraded row %s still reports %d pruned images", workers, ev.CVE, ev.Pruned)
+				}
+			}
+			switch {
+			case ev.CVE == advisory:
+				if ev.Reason != noSigReason {
+					t.Errorf("workers=%d: %s reason %q, want %q", workers, advisory, ev.Reason, noSigReason)
+				}
+			case ev.Reason == rescueReason:
+				rescued++
+			}
+		}
+		if prefilter {
+			for _, id := range db.IDs() {
+				if events[id] != 1 {
+					t.Errorf("workers=%d: %d prefilter events for %s, want exactly 1", workers, events[id], id)
+				}
+			}
+		} else if len(events) != 0 {
+			t.Errorf("workers=%d: %d prefilter events with the prefilter off", workers, len(events))
+		}
+		if got := sink.Get(obs.CtrCellsPruned); got != int64(2*sumPruned) || got != int64(report.Stats.CellsPruned) {
+			t.Errorf("workers=%d: cells_pruned %d, Stats.CellsPruned %d, want both 2 × Σ Pruned = %d",
+				workers, got, report.Stats.CellsPruned, 2*sumPruned)
+		}
+		if got := sink.Get(obs.CtrPrefilterDegraded); got != int64(degraded) {
+			t.Errorf("workers=%d: prefilter_degraded %d, want %d degraded rows", workers, got, degraded)
+		}
+		normalizeReport(report)
+		raw, err := json.Marshal(report)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw, sink.Counters(), rescued
+	}
+
+	check := func(t *testing.T, fw *Firmware, db *DB, wantRescued int) {
+		full, _, _ := scan(t, fw, db, 4, false)
+		var base map[string]int64
+		for _, workers := range []int{1, 4, 16} {
+			raw, counters, rescued := scan(t, fw, db, workers, true)
+			if rescued != wantRescued {
+				t.Errorf("workers=%d: %d rows rescued, want %d", workers, rescued, wantRescued)
+			}
+			if !bytes.Equal(raw, full) {
+				t.Errorf("workers=%d: prefiltered report bytes diverge from the full grid", workers)
+			}
+			if base == nil {
+				base = counters
+				continue
+			}
+			for name, want := range base {
+				if got := counters[name]; got != want {
+					t.Errorf("workers=%d: counter %s = %d, want %d (workers=1)", workers, name, got, want)
+				}
+			}
+		}
+	}
+
+	t.Run("one-image", func(t *testing.T) {
+		check(t, &oneImage, withAdvisory, emptied)
+	})
+	t.Run("kept-cells-fail", func(t *testing.T) {
+		for _, libName := range panicLibs {
+			for _, mode := range []QueryMode{QueryVulnerable, QueryPatched} {
+				disarm := faultinject.Arm(faultinject.ScanPanic, libName+"|"+panicCVE+"|"+mode.String(),
+					errors.New("injected worker panic"))
+				defer disarm()
+			}
+		}
+		check(t, fw, goldenDB, 1)
+	})
 }
