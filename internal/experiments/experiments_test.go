@@ -3,6 +3,8 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -271,6 +273,54 @@ func TestAblations(t *testing.T) {
 	hyb.Render(&buf)
 	if buf.Len() == 0 {
 		t.Error("ablation renders empty")
+	}
+}
+
+// TestProfileTranscript pins, byte for byte, every render built from
+// per-environment dynamic profiles on the small-scale seed-42 suite: the
+// Table III case study and the distance, environment-count and hybrid
+// ablations. None of them prints a timing column. An intended output change
+// is regenerated with
+//
+//	PATCHECKO_UPDATE_GOLDEN=1 go test ./internal/experiments/ -run TestProfileTranscript
+func TestProfileTranscript(t *testing.T) {
+	s := testSuite(t)
+	ctx := context.Background()
+	dev := corpus.ThingOS.Name
+	var buf bytes.Buffer
+	t3, err := s.Table3(ctx, dev, "CVE-2018-9412")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t3.Render(&buf)
+	for _, ablate := range []func(context.Context, string) (AblationResult, error){s.AblateDistance, s.AblateEnvironments} {
+		r, err := ablate(ctx, dev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Render(&buf)
+	}
+	hyb, err := s.AblateHybrid(ctx, dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hyb.Render(&buf)
+
+	path := filepath.Join("testdata", "profile_transcript.txt")
+	if os.Getenv("PATCHECKO_UPDATE_GOLDEN") != "" {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing transcript (run with PATCHECKO_UPDATE_GOLDEN=1 to create it): %v", err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("profile renders diverge from %s:\n got:\n%s\nwant:\n%s", path, buf.Bytes(), want)
 	}
 }
 
