@@ -41,17 +41,18 @@ func (r AblationResult) Render(w io.Writer) {
 	}
 }
 
-// rankWith re-ranks stored scan profiles under a custom distance.
-func rankWith(scan *patchecko.CVEScan, trueAddr uint64, k int,
-	dist func(a, b patchecko.Profile, p float64) float64, p float64) (rank int) {
+// rankWith re-ranks a scan's survivors under a custom distance over the
+// first k environments (all when k <= 0) and returns the true function's
+// rank, or 0 when it did not survive.
+func rankWith(c *caseScan, k int, dist func(a, b dynamic.Profile, p float64) float64, p float64) (rank int) {
 	type scored struct {
 		addr uint64
 		sim  float64
 	}
 	var rs []scored
-	for addr, ps := range scan.SurvivorProfiles {
-		ref := scan.RefProfiles
-		n := len(ref)
+	for _, r := range c.scan.Ranking {
+		ps := c.survivors[r.Addr]
+		n := len(c.ref)
 		if k > 0 && k < n {
 			n = k
 		}
@@ -60,16 +61,16 @@ func rankWith(scan *patchecko.CVEScan, trueAddr uint64, k int,
 		}
 		var sum float64
 		for i := 0; i < n; i++ {
-			sum += dist(ref[i], ps[i].Vec, p)
+			sum += dist(c.ref[i], ps[i].Vec, p)
 		}
-		rs = append(rs, scored{addr: addr, sim: sum / float64(n)})
+		rs = append(rs, scored{addr: r.Addr, sim: sum / float64(n)})
 	}
 	// Selection of the true function's rank.
 	rank = 0
 	var trueSim float64
 	found := false
 	for _, r := range rs {
-		if r.addr == trueAddr {
+		if r.addr == c.truth {
 			trueSim = r.sim
 			found = true
 		}
@@ -79,52 +80,103 @@ func rankWith(scan *patchecko.CVEScan, trueAddr uint64, k int,
 	}
 	rank = 1
 	for _, r := range rs {
-		if r.addr != trueAddr && (r.sim < trueSim || (r.sim == trueSim && r.addr < trueAddr)) {
+		if r.addr != c.truth && (r.sim < trueSim || (r.sim == trueSim && r.addr < c.truth)) {
 			rank++
 		}
 	}
 	return rank
 }
 
-// scansForDevice runs vulnerable-query scans for every CVE on a device.
-// The sweep is memoized per device: AblateDistance, AblateEnvironments and
-// AblateHybrid all re-rank the same stored profiles, so one scan feeds all
-// three (the scans themselves are deterministic, so reuse never changes a
-// row).
-func (s *Suite) scansForDevice(ctx context.Context, device string) (map[string]*patchecko.CVEScan, map[string]uint64, error) {
-	if cached, ok := s.scanCache[device]; ok {
-		return cached.scans, cached.truths, nil
+// caseScan is one (device, CVE) vulnerable-query scan with the ground
+// truth and the profiles behind its ranking. A report keeps only the
+// ranking, so the profiles are re-executed from the prepared image: the
+// reference's (when the scan had candidates to compare against it) and
+// each ranked survivor's, by address.
+type caseScan struct {
+	scan      *patchecko.CVEScan
+	truth     uint64
+	ref       []dynamic.Profile
+	survivors map[uint64][]dynamic.EnvProfile
+}
+
+// vulnScan returns the vulnerable-query scan of a CVE's host image on a
+// device, memoized per (device, CVE): Table III and the three ranking
+// ablations read the same scans and profiles (the scans and executions are
+// deterministic, so reuse never changes a row).
+func (s *Suite) vulnScan(ctx context.Context, device, cveID string) (*caseScan, error) {
+	key := scanKey{device: device, cve: cveID}
+	if c, ok := s.scanCache[key]; ok {
+		return c, nil
 	}
-	scans := make(map[string]*patchecko.CVEScan)
-	truths := make(map[string]uint64)
+	p, truth, err := s.hostImage(device, cveID)
+	if err != nil {
+		return nil, err
+	}
+	entry, ok := s.DB.Get(cveID)
+	if !ok {
+		return nil, fmt.Errorf("experiments: unknown CVE %s", cveID)
+	}
+	scan, err := s.Analyzer.ScanImage(ctx, p, cveID, patchecko.QueryVulnerable)
+	if err != nil {
+		return nil, err
+	}
+	s.Analyzer.EmitScanEvents(scan)
+	c := &caseScan{scan: scan, truth: truth.Addr, survivors: make(map[uint64][]dynamic.EnvProfile, len(scan.Ranking))}
+	envs := entry.Environments()
+	ex := dynamic.Exec{Steps: s.Analyzer.StepLimit}
+	// The scan profiled the reference exactly when it had candidates; a
+	// reference that traps would have failed it.
+	if scan.NumCandidates > 0 {
+		ref, err := entry.VulnRef(p.Image.Arch)
+		if err != nil {
+			return nil, err
+		}
+		eps, err := dynamic.ProfileFunc(ctx, ref.Dis, ref.Fn, envs, ex)
+		if err != nil {
+			return nil, err
+		}
+		if c.ref, err = dynamic.CompleteVectors(eps); err != nil {
+			return nil, fmt.Errorf("experiments: %s: reference does not execute: %w", cveID, err)
+		}
+	}
+	for _, r := range scan.Ranking {
+		fn, ok := p.Dis.FuncAt(r.Addr)
+		if !ok {
+			return nil, fmt.Errorf("experiments: %s: no function at ranked address %#x", cveID, r.Addr)
+		}
+		if c.survivors[r.Addr], err = dynamic.ProfileFunc(ctx, p.Dis, fn, envs, ex); err != nil {
+			return nil, err
+		}
+	}
+	s.scanCache[key] = c
+	return c, nil
+}
+
+// scansForDevice returns the vulnerable-query scans of every CVE on a
+// device, in database order.
+func (s *Suite) scansForDevice(ctx context.Context, device string) ([]*caseScan, error) {
+	var scans []*caseScan
 	for _, id := range s.DB.IDs() {
-		p, truth, err := s.hostImage(device, id)
+		c, err := s.vulnScan(ctx, device, id)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		scan, err := s.Analyzer.ScanImage(ctx, p, id, patchecko.QueryVulnerable)
-		if err != nil {
-			return nil, nil, err
-		}
-		s.Analyzer.EmitScanEvents(scan)
-		scans[id] = scan
-		truths[id] = truth.Addr
+		scans = append(scans, c)
 	}
-	s.scanCache[device] = deviceScans{scans: scans, truths: truths}
-	return scans, truths, nil
+	return scans, nil
 }
 
 // AblateDistance sweeps the distance metric: Minkowski p ∈ {1,2,3} on
 // log-scaled features, plus the raw (unscaled) p=3 form.
 func (s *Suite) AblateDistance(ctx context.Context, device string) (AblationResult, error) {
-	scans, truths, err := s.scansForDevice(ctx, device)
+	scans, err := s.scansForDevice(ctx, device)
 	if err != nil {
 		return AblationResult{}, err
 	}
 	res := AblationResult{Name: "similarity distance", Device: device}
 	configs := []struct {
 		name string
-		dist func(a, b patchecko.Profile, p float64) float64
+		dist func(a, b dynamic.Profile, p float64) float64
 		p    float64
 	}{
 		{"manhattan (p=1, scaled)", dynamic.MinkowskiScaled, 1},
@@ -134,8 +186,8 @@ func (s *Suite) AblateDistance(ctx context.Context, device string) (AblationResu
 	}
 	for _, cfg := range configs {
 		row := AblationRow{Config: cfg.name}
-		for id, scan := range scans {
-			rank := rankWith(scan, truths[id], 0, cfg.dist, cfg.p)
+		for _, c := range scans {
+			rank := rankWith(c, 0, cfg.dist, cfg.p)
 			if rank == 0 {
 				continue
 			}
@@ -154,21 +206,19 @@ func (s *Suite) AblateDistance(ctx context.Context, device string) (AblationResu
 
 // AblateEnvironments sweeps the number of execution environments K.
 func (s *Suite) AblateEnvironments(ctx context.Context, device string) (AblationResult, error) {
-	scans, truths, err := s.scansForDevice(ctx, device)
+	scans, err := s.scansForDevice(ctx, device)
 	if err != nil {
 		return AblationResult{}, err
 	}
 	res := AblationResult{Name: "execution environments (K)", Device: device}
 	maxK := 0
-	for _, scan := range scans {
-		if len(scan.RefProfiles) > maxK {
-			maxK = len(scan.RefProfiles)
-		}
+	for _, c := range scans {
+		maxK = max(maxK, len(c.ref))
 	}
 	for k := 1; k <= maxK; k++ {
 		row := AblationRow{Config: configK(k)}
-		for id, scan := range scans {
-			rank := rankWith(scan, truths[id], k, dynamic.MinkowskiScaled, dynamic.MinkowskiP)
+		for _, c := range scans {
+			rank := rankWith(c, k, dynamic.MinkowskiScaled, dynamic.MinkowskiP)
 			if rank == 0 {
 				continue
 			}
@@ -206,22 +256,20 @@ type HybridResult struct {
 
 // AblateHybrid measures candidate-set shrinkage per CVE.
 func (s *Suite) AblateHybrid(ctx context.Context, device string) (HybridResult, error) {
-	scans, truths, err := s.scansForDevice(ctx, device)
+	scans, err := s.scansForDevice(ctx, device)
 	if err != nil {
 		return HybridResult{}, err
 	}
 	res := HybridResult{Device: device}
-	for _, id := range s.DB.IDs() {
-		scan := scans[id]
-		row := HybridRow{CVE: id, Candidates: scan.NumCandidates, Survivors: scan.NumExecuted}
+	for _, c := range scans {
+		scan := c.scan
+		row := HybridRow{CVE: scan.CVE, Candidates: scan.NumCandidates, Survivors: scan.NumExecuted}
 		for _, a := range scan.CandidateAddr {
-			if a == truths[id] {
+			if a == c.truth {
 				row.TrueInCand = true
 			}
 		}
-		if _, ok := scan.SurvivorProfiles[truths[id]]; ok {
-			row.TrueInSurv = true
-		}
+		row.TrueInSurv = scan.TopRank(c.truth) > 0
 		res.Rows = append(res.Rows, row)
 	}
 	return res, nil

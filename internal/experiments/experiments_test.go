@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -103,6 +104,24 @@ func TestTable3CaseStudy(t *testing.T) {
 	}
 	if last.Features[5] == 0 { // F6: instruction_num
 		t.Error("reference executed zero instructions")
+	}
+	// EXPERIMENTS.md: the true match's profile is exactly the reference's.
+	_, truth, err := s.hostImage(corpus.ThingOS.Name, "CVE-2018-9412")
+	if err != nil {
+		t.Fatal(err)
+	}
+	trueLabel := fmt.Sprintf("candidate_%x", truth.Addr)
+	found := false
+	for _, row := range r.Rows[:len(r.Rows)-1] {
+		if row.Label == trueLabel {
+			found = true
+			if row.Features != last.Features {
+				t.Errorf("true match %s profile %v, want the reference's %v", trueLabel, row.Features, last.Features)
+			}
+		}
+	}
+	if !found {
+		t.Errorf("true match %s is not a Table III row", trueLabel)
 	}
 	var buf bytes.Buffer
 	r.Render(&buf)

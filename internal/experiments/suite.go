@@ -50,16 +50,14 @@ type Suite struct {
 
 	Firmware map[string]*patchecko.Firmware // by device name
 	prepared map[string]map[string]*patchecko.PreparedImage
-	// scanCache memoizes scansForDevice so the three ranking ablations
-	// share one vulnerable-query sweep per device instead of re-scanning.
-	scanCache map[string]deviceScans
+	// scanCache memoizes vulnScan so Table III and the three ranking
+	// ablations share one vulnerable-query scan, and one re-execution of
+	// its profiles, per (device, CVE).
+	scanCache map[scanKey]*caseScan
 }
 
-// deviceScans is one device's memoized vulnerable-query sweep.
-type deviceScans struct {
-	scans  map[string]*patchecko.CVEScan
-	truths map[string]uint64
-}
+// scanKey names one (device, CVE) vulnerable-query scan.
+type scanKey struct{ device, cve string }
 
 // Devices returns the evaluation devices in presentation order.
 func Devices() []corpus.Device {
@@ -77,7 +75,7 @@ func NewSuite(ctx context.Context, cfg Config) (*Suite, error) {
 		Cfg:       cfg,
 		Firmware:  make(map[string]*patchecko.Firmware),
 		prepared:  make(map[string]map[string]*patchecko.PreparedImage),
-		scanCache: make(map[string]deviceScans),
+		scanCache: make(map[scanKey]*caseScan),
 	}
 	logf(fmt.Sprintf("building Dataset I (%s scale)...", cfg.Scale.Name))
 	groups, err := corpus.TrainingGroups(cfg.Scale, cfg.Seed)

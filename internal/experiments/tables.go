@@ -51,30 +51,25 @@ type Table3Result struct {
 // appends the vulnerability-database reference function's profile, exactly
 // like the paper's Table III (candidates 1..38 plus "Vulnerable function").
 func (s *Suite) Table3(ctx context.Context, device, cveID string) (Table3Result, error) {
-	p, _, err := s.hostImage(device, cveID)
+	c, err := s.vulnScan(ctx, device, cveID)
 	if err != nil {
 		return Table3Result{}, err
 	}
-	scan, err := s.Analyzer.ScanImage(ctx, p, cveID, patchecko.QueryVulnerable)
-	if err != nil {
-		return Table3Result{}, err
-	}
-	s.Analyzer.EmitScanEvents(scan)
 	res := Table3Result{CVE: cveID, Device: device}
-	for _, r := range scan.Ranking {
+	for _, r := range c.scan.Ranking {
 		res.Rows = append(res.Rows, Table3Row{
 			Label:    fmt.Sprintf("candidate_%x", r.Addr),
-			Features: meanProfile(dynamic.Vectors(scan.SurvivorProfiles[r.Addr])),
+			Features: meanProfile(dynamic.Vectors(c.survivors[r.Addr])),
 		})
 	}
 	res.Rows = append(res.Rows, Table3Row{
 		Label:    "Vulnerable function",
-		Features: meanProfile(scan.RefProfiles),
+		Features: meanProfile(c.ref),
 	})
 	return res, nil
 }
 
-func meanProfile(ps []patchecko.Profile) [21]float64 {
+func meanProfile(ps []dynamic.Profile) [21]float64 {
 	var out [21]float64
 	if len(ps) == 0 {
 		return out

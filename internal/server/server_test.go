@@ -758,55 +758,106 @@ func TestFinishedJobRetention(t *testing.T) {
 }
 
 // TestLegacyTerminalRecordReplay pins journal compatibility: a terminal
-// record written by an older build, which carried a "shed" flag, still
-// replays as a done job serving its report, and compaction copies the line
-// verbatim so the job survives it and the next restart.
+// record written by an older build still replays as a done job serving the
+// golden report, and compaction copies the line verbatim so the job
+// survives it and the next restart. Older builds wrote a "shed" flag on the
+// record, and per-environment RefProfiles and SurvivorProfiles on each
+// result of the report.
 func TestLegacyTerminalRecordReplay(t *testing.T) {
-	journal := filepath.Join(t.TempDir(), "journal.jsonl")
-	const id = "job-00000001"
-	submitted, err := json.Marshal(record{Kind: recSubmitted, Seq: 1, Job: id, Sub: goldenSubmission(t)})
+	golden := string(bytes.TrimSuffix(goldenBytes(t), []byte("\n")))
+	for _, tc := range []struct {
+		name, attrs, report string
+	}{
+		{"shed flag", `"shed":true,`, golden},
+		{"profiles in report", "", withLegacyProfiles(t, golden)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			journal := filepath.Join(t.TempDir(), "journal.jsonl")
+			const id = "job-00000001"
+			submitted, err := json.Marshal(record{Kind: recSubmitted, Seq: 1, Job: id, Sub: goldenSubmission(t)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			legacy := `{"kind":"done","seq":2,"job":"` + id + `","tenant":"old-tenant","attempts":2,` +
+				tc.attrs + `"report":` + tc.report + "}\n"
+			if err := os.WriteFile(journal, append(append(submitted, '\n'), legacy...), 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			served := func(s *Server, phase string) {
+				t.Helper()
+				st := waitDone(t, s, id)
+				if st.State != StateDone || st.Tenant != "old-tenant" || st.Attempts != 2 {
+					t.Fatalf("%s: replayed status %+v, want done for old-tenant after 2 attempts", phase, st)
+				}
+				if !bytes.Equal(servedReport(t, s, id, true), goldenBytes(t)) {
+					t.Errorf("%s: replayed report diverges from golden bytes", phase)
+				}
+			}
+
+			cfg := baseConfig(t)
+			cfg.Workers = -1
+			cfg.JournalPath = journal
+			life1 := newServer(t, cfg)
+			if got := life1.obs.Get(obs.CtrJobsResumed); got != 0 {
+				t.Fatalf("legacy terminal job was resumed (%d), want replayed as done", got)
+			}
+			served(life1, "replay")
+			life1.journal.mu.Lock()
+			life1.journal.compactLocked()
+			life1.journal.mu.Unlock()
+			life1.Close()
+			raw, err := os.ReadFile(journal)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(raw) != legacy {
+				t.Errorf("compaction did not keep exactly the legacy terminal line:\n got %.200q\nwant %.200q", raw, legacy)
+			}
+
+			life2 := newServer(t, cfg)
+			served(life2, "after compaction")
+		})
+	}
+}
+
+// withLegacyProfiles splices into every result of report the
+// RefProfiles and SurvivorProfiles keys older builds published: one
+// reference profile, and one survivor with a complete and a trapped
+// environment.
+func withLegacyProfiles(t *testing.T, report string) string {
+	t.Helper()
+	var rep map[string]json.RawMessage
+	if err := json.Unmarshal([]byte(report), &rep); err != nil {
+		t.Fatal(err)
+	}
+	var results map[string]map[string]json.RawMessage
+	if err := json.Unmarshal(rep["Results"], &results); err != nil {
+		t.Fatal(err)
+	}
+	const vec = `[0,1,1,1,0,1355.5,40,0,447.5,150.5,100,1,50.5,50.5,0,16,0,99,0,0,0]`
+	spliced := 0
+	for _, r := range results {
+		if r == nil {
+			continue
+		}
+		r["RefProfiles"] = json.RawMessage(`[` + vec + `]`)
+		r["SurvivorProfiles"] = json.RawMessage(`{"4199776":[{"Vec":` + vec + `,"Trap":null},` +
+			`{"Vec":` + vec + `,"Trap":{"Kind":1,"Addr":75184,"Msg":""}}]}`)
+		spliced++
+	}
+	if spliced == 0 {
+		t.Fatal("golden report has no result to splice profiles into")
+	}
+	var err error
+	if rep["Results"], err = json.Marshal(results); err != nil {
+		t.Fatal(err)
+	}
+	out, err := json.Marshal(rep)
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy := `{"kind":"done","seq":2,"job":"` + id + `","tenant":"old-tenant","attempts":2,"shed":true,"report":` +
-		string(bytes.TrimSuffix(goldenBytes(t), []byte("\n"))) + "}\n"
-	if err := os.WriteFile(journal, append(append(submitted, '\n'), legacy...), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	served := func(s *Server, phase string) {
-		t.Helper()
-		st := waitDone(t, s, id)
-		if st.State != StateDone || st.Tenant != "old-tenant" || st.Attempts != 2 {
-			t.Fatalf("%s: replayed status %+v, want done for old-tenant after 2 attempts", phase, st)
-		}
-		if !bytes.Equal(servedReport(t, s, id, true), goldenBytes(t)) {
-			t.Errorf("%s: replayed report diverges from golden bytes", phase)
-		}
-	}
-
-	cfg := baseConfig(t)
-	cfg.Workers = -1
-	cfg.JournalPath = journal
-	life1 := newServer(t, cfg)
-	if got := life1.obs.Get(obs.CtrJobsResumed); got != 0 {
-		t.Fatalf("legacy terminal job was resumed (%d), want replayed as done", got)
-	}
-	served(life1, "replay")
-	life1.journal.mu.Lock()
-	life1.journal.compactLocked()
-	life1.journal.mu.Unlock()
-	life1.Close()
-	raw, err := os.ReadFile(journal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(raw) != legacy {
-		t.Errorf("compaction did not keep exactly the legacy terminal line:\n got %.200q\nwant %.200q", raw, legacy)
-	}
-
-	life2 := newServer(t, cfg)
-	served(life2, "after compaction")
+	return string(out)
 }
 
 // TestChaosMatrix arms every service fault point at once — admission

@@ -183,7 +183,7 @@ func (a *Analyzer) sharedScore(t *dedupTable, cve string, k scoreKey, i int, com
 // which the ranking and the verdict read next.
 func (a *Analyzer) dedupValidate(ctx context.Context, p *PreparedImage, entry *vulndb.Entry,
 	cands []detector.Candidate, candFuncs []*disasm.Function, envs []*minic.Env, workers int) (
-	survivors []int, profiles map[int][]EnvProfile, excluded map[int]error, rows []*dynEntry) {
+	survivors []int, profiles map[int][]dynamic.EnvProfile, excluded map[int]error, rows []*dynEntry) {
 	t := a.refcache().table(entry.ID, p.Image.Arch, a.StepLimit)
 	rows = make([]*dynEntry, len(cands))
 	for i, c := range cands {
@@ -192,11 +192,6 @@ func (a *Analyzer) dedupValidate(ctx context.Context, p *PreparedImage, entry *v
 	survivors, profiles, excluded = dynamic.ValidateWith(ctx, len(cands), workers, func(i int) dynamic.ProfileOutcome {
 		return a.sharedProfile(ctx, p.Dis, candFuncs[i], rows[i], envs)
 	}, a.Obs)
-	// Unalias the memoized profile slices before they are published on a
-	// CVEScan: several cells may share one outcome.
-	for idx, eps := range profiles {
-		profiles[idx] = append([]dynamic.EnvProfile(nil), eps...)
-	}
 	return survivors, profiles, excluded, rows
 }
 

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/binimg"
@@ -255,7 +256,7 @@ func scanCellsAgainstOracle(t *testing.T, model *Model, db *DB, fw *Firmware) ma
 	ctx := context.Background()
 	keep := NewAnalyzer(model, db)
 	cells := keptCells(t, keep, fw)
-	oracles := make([]*CVEScan, len(cells))
+	oracles := make([]oracleScan, len(cells))
 	for i, c := range cells {
 		oracles[i] = everyPairScan(t, keep, c.p, c.cve, c.mode)
 	}
@@ -269,7 +270,7 @@ func scanCellsAgainstOracle(t *testing.T, model *Model, db *DB, fw *Firmware) ma
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
-			checkOracle(t, label, got, oracles[i])
+			checkOracle(t, label, an, c.p, got, oracles[i])
 		}
 		counts[workers] = an.DedupCounts()
 	}
@@ -313,10 +314,10 @@ func keptCells(t *testing.T, an *Analyzer, fw *Firmware) []cell {
 // scan is served from warm rows; after each firmware scan every kept cell is
 // scanned alone through ScanImage on the same cache. Every matched cell,
 // and every matched result of both reports, must carry the ranking
-// dynamic.Rank computes with SimilarityEnv from the cell's own published
-// RefProfiles and SurvivorProfiles, and the verdict diffengine.Decide
-// reaches on freshly extracted static vectors and signatures. Both reports
-// keep the golden bytes.
+// dynamic.Rank computes with SimilarityEnv from its survivors' profiles
+// memoized on the dedup rows against freshly profiled references, and the
+// verdict diffengine.Decide reaches on those profiles and freshly extracted
+// static vectors and signatures. Both reports keep the golden bytes.
 func TestMemoizedRankAndVerdictMatchFresh(t *testing.T) {
 	model, db, fw := goldenFixtures(t)
 	golden, err := os.ReadFile(goldenPath)
@@ -335,7 +336,7 @@ func TestMemoizedRankAndVerdictMatchFresh(t *testing.T) {
 	// with profiles derived outside any analyzer cache.
 	type fresh struct {
 		refs  [2]*vulndb.Ref
-		profs [2][]Profile
+		profs [2][]dynamic.Profile
 	}
 	refs := make(map[string]*fresh)
 	freshRefs := func(cveID, arch string) *fresh {
@@ -361,44 +362,41 @@ func TestMemoizedRankAndVerdictMatchFresh(t *testing.T) {
 	}
 
 	matched := 0
-	check := func(label string, scan *CVEScan) {
+	check := func(an *Analyzer, label string, scan *CVEScan) {
 		t.Helper()
 		if scan == nil || !scan.Matched {
 			return
 		}
 		matched++
-		cands := make(map[int][]EnvProfile)
-		for i, addr := range scan.CandidateAddr {
-			if eps, ok := scan.SurvivorProfiles[addr]; ok {
-				cands[i] = eps
+		p := images[scan.Library]
+		f := freshRefs(scan.CVE, p.Image.Arch)
+		cands := make(map[int][]dynamic.EnvProfile)
+		for _, r := range scan.Ranking {
+			i := slices.Index(scan.CandidateAddr, r.Addr)
+			if i < 0 {
+				t.Errorf("%s: ranked %#x is not a candidate", label, r.Addr)
+				continue
 			}
+			cands[i] = memoizedProfiles(t, an, p, scan.CVE, r.Addr)
 		}
-		var ranking []RankedMatch
-		for _, r := range dynamic.Rank(cands, func(_ int, eps []EnvProfile) float64 {
-			sim, _ := dynamic.SimilarityEnv(scan.RefProfiles, eps)
-			return sim
-		}) {
-			ranking = append(ranking, RankedMatch{Addr: scan.CandidateAddr[r.Index], Sim: r.Sim, Completed: r.Completed, Envs: r.Envs})
-		}
+		ranking := freshRanking(scan.CandidateAddr, cands, f.profs[scan.Mode-QueryVulnerable])
 		if !reflect.DeepEqual(scan.Ranking, ranking) {
-			t.Errorf("%s: ranking %+v, want %+v recomputed from the published profiles", label, scan.Ranking, ranking)
+			t.Errorf("%s: ranking %+v, want %+v recomputed from the memoized profiles", label, scan.Ranking, ranking)
 		}
 
-		p := images[scan.Library]
 		var target *disasm.Function
 		for _, fn := range p.Dis.Funcs {
 			if fn.Addr == scan.Match.Addr {
 				target = fn
 			}
 		}
-		f := freshRefs(scan.CVE, p.Image.Arch)
 		want := diffengine.Decide(diffengine.Inputs{
 			VulnStatic:      f.refs[0].StaticVec(),
 			PatchedStatic:   f.refs[1].StaticVec(),
 			TargetStatic:    features.Extract(p.Dis, target),
 			VulnProfiles:    f.profs[0],
 			PatchedProfiles: f.profs[1],
-			TargetProfiles:  dynamic.Vectors(scan.SurvivorProfiles[scan.Match.Addr]),
+			TargetProfiles:  dynamic.Vectors(memoizedProfiles(t, an, p, scan.CVE, scan.Match.Addr)),
 			VulnSig:         diffengine.SigOf(f.refs[0].Fn),
 			PatchedSig:      diffengine.SigOf(f.refs[1].Fn),
 			TargetSig:       diffengine.SigOf(target),
@@ -418,7 +416,7 @@ func TestMemoizedRankAndVerdictMatchFresh(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, id := range db.IDs() {
-			check(fmt.Sprintf("workers=%d report %s", workers, id), report.Results[id])
+			check(an, fmt.Sprintf("workers=%d report %s", workers, id), report.Results[id])
 		}
 		if !bytes.Equal(normalizedJSON(t, report), golden) {
 			t.Errorf("workers=%d: report bytes diverge from golden", workers)
@@ -428,7 +426,7 @@ func TestMemoizedRankAndVerdictMatchFresh(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			check(fmt.Sprintf("workers=%d cell %s/%s/%v", workers, c.p.Image.LibName, c.cve, c.mode), scan)
+			check(an, fmt.Sprintf("workers=%d cell %s/%s/%v", workers, c.p.Image.LibName, c.cve, c.mode), scan)
 		}
 	}
 	if matched == 0 {
@@ -437,28 +435,85 @@ func TestMemoizedRankAndVerdictMatchFresh(t *testing.T) {
 	t.Logf("%d matched cells checked", matched)
 }
 
-// checkOracle compares the CVEScan fields the static and validation stages
-// fill — CandidateAddr (order included), NumExecuted, Excluded and
-// SurvivorProfiles — against the every-pair oracle's.
-func checkOracle(t *testing.T, label string, got, want *CVEScan) {
+// memoizedProfiles returns the per-environment profiles an's dedup table
+// holds for the body of p's function at addr under cve: the profiles the
+// scan ranked and decided that function by.
+func memoizedProfiles(t *testing.T, an *Analyzer, p *PreparedImage, cve string, addr uint64) []dynamic.EnvProfile {
 	t.Helper()
-	if !reflect.DeepEqual(got.CandidateAddr, want.CandidateAddr) ||
-		got.NumExecuted != want.NumExecuted ||
-		!reflect.DeepEqual(got.Excluded, want.Excluded) ||
-		!reflect.DeepEqual(got.SurvivorProfiles, want.SurvivorProfiles) {
+	for i, fn := range p.Dis.Funcs {
+		if fn.Addr != addr {
+			continue
+		}
+		e := an.refcache().table(cve, p.Image.Arch, an.StepLimit).validation(p.CAS[i])
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		if !e.done {
+			t.Errorf("%s: %s: no memoized validation for %#x", cve, p.Image.LibName, addr)
+		}
+		return e.eps
+	}
+	t.Fatalf("%s: %s has no function at %#x", cve, p.Image.LibName, addr)
+	return nil
+}
+
+// freshRanking ranks candidates (by index into addrs) against the reference
+// profiles ref with dynamic.Rank and SimilarityEnv, as a CVEScan reports it.
+func freshRanking(addrs []uint64, cands map[int][]dynamic.EnvProfile, ref []dynamic.Profile) []RankedMatch {
+	var ranking []RankedMatch
+	for _, r := range dynamic.Rank(cands, func(_ int, eps []dynamic.EnvProfile) float64 {
+		sim, _ := dynamic.SimilarityEnv(ref, eps)
+		return sim
+	}) {
+		ranking = append(ranking, RankedMatch{Addr: addrs[r.Index], Sim: r.Sim, Completed: r.Completed, Envs: r.Envs})
+	}
+	return ranking
+}
+
+// oracleScan is the every-pair oracle's outcome for one cell: the CVEScan
+// fields ScanImage fills from its static and dynamic stages, and each
+// survivor's independently executed profiles by address.
+type oracleScan struct {
+	scan     *CVEScan
+	profiles map[uint64][]dynamic.EnvProfile
+}
+
+// checkOracle compares the CVEScan fields the static and dynamic stages
+// fill — CandidateAddr (order included), NumExecuted, Excluded and Ranking
+// — against the every-pair oracle's, and each survivor's profiles memoized
+// on an's dedup rows against the oracle's fresh ones. p is the scanned
+// image.
+func checkOracle(t *testing.T, label string, an *Analyzer, p *PreparedImage, got *CVEScan, want oracleScan) {
+	t.Helper()
+	if !reflect.DeepEqual(got.CandidateAddr, want.scan.CandidateAddr) ||
+		got.NumExecuted != want.scan.NumExecuted ||
+		!reflect.DeepEqual(got.Excluded, want.scan.Excluded) ||
+		!reflect.DeepEqual(got.Ranking, want.scan.Ranking) {
 		t.Errorf("%s: scan diverges from the every-pair oracle:\n"+
-			" got candidates %#x executed %d excluded %v\n"+
-			"want candidates %#x executed %d excluded %v",
-			label, got.CandidateAddr, got.NumExecuted, got.Excluded,
-			want.CandidateAddr, want.NumExecuted, want.Excluded)
+			" got candidates %#x executed %d excluded %v ranking %+v\n"+
+			"want candidates %#x executed %d excluded %v ranking %+v",
+			label, got.CandidateAddr, got.NumExecuted, got.Excluded, got.Ranking,
+			want.scan.CandidateAddr, want.scan.NumExecuted, want.scan.Excluded, want.scan.Ranking)
+	}
+	addrs := make([]uint64, 0, len(want.profiles))
+	for addr := range want.profiles {
+		addrs = append(addrs, addr)
+	}
+	slices.Sort(addrs)
+	for _, addr := range addrs {
+		if eps := memoizedProfiles(t, an, p, got.CVE, addr); !reflect.DeepEqual(eps, want.profiles[addr]) {
+			t.Errorf("%s: memoized profiles of %#x diverge from the every-pair oracle:\n got %+v\nwant %+v",
+				label, addr, eps, want.profiles[addr])
+		}
 	}
 }
 
 // everyPairScan is the oracle for one cell under an's model, database and
-// step limit: the scalar static stage (Model.Candidates on the raw vectors)
-// and every candidate validated independently (dynamic.ValidateParallel),
-// reported in the CVEScan fields ScanImage fills from them.
-func everyPairScan(t *testing.T, an *Analyzer, p *PreparedImage, cveID string, mode QueryMode) *CVEScan {
+// step limit: the scalar static stage (Model.Candidates on the raw vectors),
+// every candidate validated independently (dynamic.ValidateParallel), and
+// the survivors ranked (dynamic.Rank with SimilarityEnv) against a freshly
+// profiled reference, reported in the CVEScan fields ScanImage fills from
+// them.
+func everyPairScan(t *testing.T, an *Analyzer, p *PreparedImage, cveID string, mode QueryMode) oracleScan {
 	t.Helper()
 	entry, ok := an.db.Get(cveID)
 	if !ok {
@@ -468,28 +523,35 @@ func everyPairScan(t *testing.T, an *Analyzer, p *PreparedImage, cveID string, m
 	if err != nil {
 		t.Fatal(err)
 	}
-	scan := &CVEScan{}
+	out := oracleScan{scan: &CVEScan{CVE: cveID}}
 	cands := an.model.Candidates(ref.StaticVec(), p.Vecs)
 	if len(cands) == 0 {
-		return scan
+		return out
 	}
 	candFuncs := make([]*disasm.Function, len(cands))
 	for i, c := range cands {
 		candFuncs[i] = p.Dis.Funcs[c.Index]
-		scan.CandidateAddr = append(scan.CandidateAddr, candFuncs[i].Addr)
+		out.scan.CandidateAddr = append(out.scan.CandidateAddr, candFuncs[i].Addr)
 	}
-	survivors, profiles, excluded := dynamic.ValidateParallel(context.Background(), p.Dis, candFuncs,
-		entry.Environments(), dynamic.Exec{Steps: an.StepLimit}, 1)
-	scan.NumExecuted = len(survivors)
+	ctx := context.Background()
+	envs := entry.Environments()
+	ex := dynamic.Exec{Steps: an.StepLimit}
+	survivors, profiles, excluded := dynamic.ValidateParallel(ctx, p.Dis, candFuncs, envs, ex, 1)
+	out.scan.NumExecuted = len(survivors)
 	if len(excluded) > 0 {
-		scan.Excluded = make(map[uint64]string, len(excluded))
+		out.scan.Excluded = make(map[uint64]string, len(excluded))
 		for idx, reason := range excluded {
-			scan.Excluded[candFuncs[idx].Addr] = reason.Error()
+			out.scan.Excluded[candFuncs[idx].Addr] = reason.Error()
 		}
 	}
-	scan.SurvivorProfiles = make(map[uint64][]EnvProfile, len(profiles))
+	out.profiles = make(map[uint64][]dynamic.EnvProfile, len(profiles))
 	for idx, eps := range profiles {
-		scan.SurvivorProfiles[candFuncs[idx].Addr] = eps
+		out.profiles[candFuncs[idx].Addr] = eps
 	}
-	return scan
+	refProfiles, err := profileReference(ctx, ref, envs, ex)
+	if err != nil {
+		t.Fatalf("%s: reference does not execute: %v", cveID, err)
+	}
+	out.scan.Ranking = freshRanking(out.scan.CandidateAddr, profiles, refProfiles)
+	return out
 }

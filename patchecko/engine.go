@@ -283,8 +283,7 @@ func (a *Analyzer) cachedQueryHalves(entry *vulndb.Entry, arch string, mode Quer
 // completion; a trapping reference is a memoized failure. A run its
 // context ended is returned but NOT memoized, so a later scan with a live
 // context retries instead of inheriting the stale cancellation. The caller
-// must not mutate the returned slice; ScanImage copies it before publishing
-// on a CVEScan.
+// must not mutate the returned slice.
 func (a *Analyzer) cachedRefProfiles(ctx context.Context, entry *vulndb.Entry, arch string, mode QueryMode, envs []*minic.Env) ([]dynamic.Profile, error) {
 	e := a.refcache().entry(refKey{cve: entry.ID, arch: arch, mode: mode, limit: a.StepLimit})
 	e.mu.Lock()

@@ -101,7 +101,7 @@ func TestScanFirmwareScalarMatchesBatched(t *testing.T) {
 				t.Fatalf("workers=%d %s: result names unknown library %q", workers, id, got.Library)
 			}
 			checkOracle(t, fmt.Sprintf("workers=%d %s/%s/%v", workers, got.Library, id, got.Mode),
-				got, everyPairScan(t, oracle, p, id, got.Mode))
+				an, p, got, everyPairScan(t, oracle, p, id, got.Mode))
 			checked++
 		}
 		if checked == 0 {

@@ -69,12 +69,6 @@ type (
 	DB = vulndb.DB
 	// History is the per-epoch training history (Fig. 8).
 	History = nn.History
-	// Profile is one execution's 21-dimensional dynamic feature vector
-	// (Table II).
-	Profile = dynamic.Profile
-	// EnvProfile is one environment's execution outcome: a Profile plus
-	// the trap that truncated it, if any.
-	EnvProfile = dynamic.EnvProfile
 	// Image is one library binary.
 	Image = binimg.Image
 	// Verdict is the differential engine's patch decision.
@@ -340,13 +334,6 @@ type CVEScan struct {
 	// (no environment completed, a worker panic, ...). The paper discards
 	// these silently; keeping the reasons makes pruning auditable.
 	Excluded map[uint64]string
-	// RefProfiles are the query reference's per-environment profiles;
-	// SurvivorProfiles maps each surviving candidate's address to its
-	// per-environment outcomes, truncated traces included. Together they
-	// are the raw material of the paper's Table III and the
-	// distance-metric ablations.
-	RefProfiles      []Profile
-	SurvivorProfiles map[uint64][]EnvProfile
 
 	// Differential stage (only when a match was found).
 	Matched bool
@@ -465,19 +452,14 @@ func (a *Analyzer) scanImage(ctx context.Context, p *PreparedImage, cveID string
 		}
 		return nil, &refError{fmt.Errorf("patchecko: %s: reference does not execute: %w", cveID, err)}
 	}
-	// Copy: the cached slice is shared across scans and must not alias a
-	// published result.
-	scan.RefProfiles = append([]Profile(nil), refProfiles...)
-	scan.SurvivorProfiles = make(map[uint64][]EnvProfile, len(profiles))
-	for idx, ps := range profiles {
-		scan.SurvivorProfiles[candFuncs[idx].Addr] = ps
+	for _, ps := range profiles {
 		if dynamic.Completion(ps) < len(ps) {
 			scan.NumPartial++
 		}
 	}
 	// Distances are memoized on each body's dedup row: a body ranked
 	// against this reference before is not compared again.
-	ranked := dynamic.Rank(profiles, func(i int, eps []EnvProfile) float64 {
+	ranked := dynamic.Rank(profiles, func(i int, eps []dynamic.EnvProfile) float64 {
 		return rows[i].distance(mode, refProfiles, eps)
 	})
 	for _, r := range ranked {
@@ -538,7 +520,7 @@ func (a *Analyzer) exec() dynamic.Exec {
 // so the row makes it once; exploit replay keys on the target's address
 // and runs per occurrence after it.
 func (a *Analyzer) patchVerdict(ctx context.Context, entry *vulndb.Entry, arch string, p *PreparedImage,
-	ti int, row *dynEntry, eps []EnvProfile, envs []*minic.Env) (Verdict, error) {
+	ti int, row *dynEntry, eps []dynamic.EnvProfile, envs []*minic.Env) (Verdict, error) {
 	vref, err := a.cachedRef(entry, arch, QueryVulnerable)
 	if err != nil {
 		return Verdict{}, &refError{err}
