@@ -544,3 +544,84 @@ func TestCensusAndCharts(t *testing.T) {
 		t.Error("bar clamping wrong")
 	}
 }
+
+// verdictSeeds are the small-scale suites TestVerdictSweep pins. Seed 42
+// is the suite the other tests share.
+var verdictSeeds = []int64{1, 5, 42, 1234}
+
+// TestVerdictSweep pins Table VIII beyond one seed: for every seed in
+// verdictSeeds and both devices, the paper-faithful and the exploit-replay
+// verdicts' accuracy and every miss with its reported verdict and
+// confidence. A mean hides a bad seed; the per-CVE lines do not. An
+// intended verdict change is regenerated with
+//
+//	PATCHECKO_UPDATE_GOLDEN=1 go test ./internal/experiments/ -run TestVerdictSweep
+func TestVerdictSweep(t *testing.T) {
+	ctx := context.Background()
+	var buf bytes.Buffer
+	for _, seed := range verdictSeeds {
+		s := testSuite(t)
+		if seed != s.Cfg.Seed {
+			var err error
+			if s, err = NewSuite(ctx, Config{Scale: corpus.ScaleSmall, Seed: seed}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, dev := range Devices() {
+			for _, mode := range []struct {
+				name string
+				run  func(context.Context, string) (VerdictResult, error)
+			}{{"paper", s.Verdicts}, {"replay", s.VerdictsWithReplay}} {
+				r, err := mode.run(ctx, dev.Name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				writeVerdictLine(&buf, seed, mode.name, r)
+			}
+		}
+	}
+
+	path := filepath.Join("testdata", "verdict_sweep.txt")
+	if os.Getenv("PATCHECKO_UPDATE_GOLDEN") != "" {
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing transcript (run with PATCHECKO_UPDATE_GOLDEN=1 to create it): %v", err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("verdicts diverge from %s:\n got:\n%s\nwant:\n%s", path, buf.Bytes(), want)
+	}
+}
+
+// writeVerdictLine renders one (seed, device, mode) Table VIII as its
+// accuracy followed by one entry per miss: the CVE, what was reported
+// against the ground truth, and the reported confidence.
+func writeVerdictLine(w *bytes.Buffer, seed int64, mode string, r VerdictResult) {
+	ok := 0
+	var misses []string
+	state := func(patched bool) string {
+		if patched {
+			return "patched"
+		}
+		return "vuln"
+	}
+	for _, row := range r.Rows {
+		switch {
+		case row.Correct():
+			ok++
+		case !row.Found:
+			misses = append(misses, row.CVE+" not-found")
+		default:
+			misses = append(misses, fmt.Sprintf("%s %s/%s@%.2f", row.CVE,
+				state(row.Reported), state(row.GroundTruth), row.Confidence))
+		}
+	}
+	fmt.Fprintf(w, "seed %d %s %s: %d/%d (%.0f%%)", seed, r.Device, mode, ok, len(r.Rows), 100*r.Accuracy())
+	if len(misses) > 0 {
+		fmt.Fprintf(w, " misses: %s", strings.Join(misses, ", "))
+	}
+	w.WriteString("\n")
+}
