@@ -121,13 +121,10 @@ func similarity(f, g []Profile, dist func(Profile, Profile, float64) float64) fl
 	return sum / float64(k)
 }
 
-// DefaultStepLimit bounds candidate executions.
-const DefaultStepLimit = 1 << 20
-
 // Exec bundles the per-execution bounds threaded from the analyzer down to
 // every emulator run.
 type Exec struct {
-	// Steps is the instruction budget per execution (DefaultStepLimit
+	// Steps is the instruction budget per execution (emu.DefaultStepLimit
 	// if <= 0); exhaustion surfaces as minic.TrapStepLimit.
 	Steps int64
 	// Obs receives execution and validation counters; nil (the default)
@@ -185,30 +182,23 @@ func Completion(eps []EnvProfile) int {
 // is non-nil only when the context ended the run (cancellation or an outer
 // deadline); the profiles gathered so far accompany it.
 func ProfileFunc(ctx context.Context, dis *disasm.Disassembly, fn *disasm.Function, envs []*minic.Env, ex Exec) ([]EnvProfile, error) {
-	if ex.Steps <= 0 {
-		ex.Steps = DefaultStepLimit
-	}
 	out := make([]EnvProfile, 0, len(envs))
 	for _, env := range envs {
 		if ctx != nil && ctx.Err() != nil {
 			return out, ctx.Err()
 		}
-		res, err := emu.ExecuteObserved(ctx, dis, fn, env, ex.Steps, ex.Obs)
+		vec, err := emu.Profile(ctx, dis, fn, env, ex.Steps, ex.Obs)
 		if err != nil {
 			if tr, ok := minic.IsTrap(err); ok {
 				ex.Obs.Add(obs.CtrEnvsExecuted, 1)
 				ex.Obs.Add(obs.CtrEnvsTrapped, 1)
-				ep := EnvProfile{Trap: tr}
-				if res != nil && res.Trace != nil {
-					ep.Vec = Profile(res.Trace.Vector())
-				}
-				out = append(out, ep)
+				out = append(out, EnvProfile{Vec: vec, Trap: tr})
 				continue
 			}
 			return out, err // cancellation from an enclosing context
 		}
 		ex.Obs.Add(obs.CtrEnvsExecuted, 1)
-		out = append(out, EnvProfile{Vec: Profile(res.Trace.Vector())})
+		out = append(out, EnvProfile{Vec: vec})
 	}
 	return out, nil
 }

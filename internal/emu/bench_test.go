@@ -59,36 +59,65 @@ func execBenchCases() []execBenchCase {
 	}
 }
 
+// execEntries are the two entries an execution runs through: Execute,
+// whose Result takes the trace and the data pages, and Profile, which
+// returns only the feature vector and keeps both in its pooled machine.
+var execEntries = []struct {
+	name string
+	run  func(dis *disasm.Disassembly, fn *disasm.Function, env *minic.Env) error
+}{
+	{"execute", func(dis *disasm.Disassembly, fn *disasm.Function, env *minic.Env) error {
+		_, err := Execute(dis, fn, env, 1<<22)
+		return err
+	}},
+	{"profile", func(dis *disasm.Disassembly, fn *disasm.Function, env *minic.Env) error {
+		_, err := Profile(nil, dis, fn, env, 1<<22, nil)
+		return err
+	}},
+}
+
 // BenchmarkExecute measures emulated instructions per second and the
-// per-execution allocation of every workload on every architecture.
+// per-execution allocation of every workload on every architecture,
+// through each entry.
 func BenchmarkExecute(b *testing.B) {
-	for _, c := range execBenchCases() {
-		for _, arch := range isa.All() {
-			b.Run(c.name+"/"+arch.Name, func(b *testing.B) { benchExecute(b, c, arch) })
+	for _, e := range execEntries {
+		for _, c := range execBenchCases() {
+			for _, arch := range isa.All() {
+				b.Run(e.name+"/"+c.name+"/"+arch.Name, func(b *testing.B) { benchExecute(b, c, arch, e.run) })
+			}
 		}
 	}
 }
 
-func benchExecute(b *testing.B, c execBenchCase, arch *isa.Arch) {
+// benchTarget compiles c for arch and returns its hot function with the
+// environment it runs under.
+func benchTarget(tb testing.TB, c execBenchCase, arch *isa.Arch) (*disasm.Disassembly, *disasm.Function, *minic.Env) {
 	im, err := compiler.Compile(c.mod, arch, compiler.O2)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	dis, err := disasm.Disassemble(im)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	fn, _ := dis.Lookup("hot")
-	env := &minic.Env{Args: []int64{minic.DataBase, c.iters}, Data: make([]byte, 256)}
+	return dis, fn, &minic.Env{Args: []int64{minic.DataBase, c.iters}, Data: make([]byte, 256)}
+}
+
+func benchExecute(b *testing.B, c execBenchCase, arch *isa.Arch, run func(*disasm.Disassembly, *disasm.Function, *minic.Env) error) {
+	dis, fn, env := benchTarget(b, c, arch)
 	res, err := Execute(dis, fn, env, 1<<22)
 	if err != nil {
 		b.Fatal(err)
 	}
 	perIter := res.Trace.Instrs
+	if err := run(dis, fn, env); err != nil { // warms the pooled machine for this entry
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Execute(dis, fn, env, 1<<22); err != nil {
+		if err := run(dis, fn, env); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -96,18 +125,20 @@ func benchExecute(b *testing.B, c execBenchCase, arch *isa.Arch) {
 	b.ReportMetric(float64(perIter)*float64(b.N)/b.Elapsed().Seconds(), "instrs/s")
 }
 
-// maxBytesPerExec is each case's allocation per execution before the
-// predecoded dispatch and word-granular memory, which were required to add
-// no per-execution state: the machine, its page tables, the pages an
-// execution touches, the trace and, for calls, the frame stack and one
-// count slice per function. No case may rise above it.
+// maxBytesPerExec is each case's allocation per execution through Execute
+// on a pooled machine: the Result, the trace with one count slice per
+// function entered, and the data page the environment's buffer fills, all
+// of which the Result takes. The machine, its page tables and its stack
+// page are reused. No case may rise above it, and Profile may allocate
+// nothing at all.
 var maxBytesPerExec = map[string]int64{
-	"short/xarm32": 13568, "short/xarm64": 13568, "short/x86": 13568, "short/amd64": 13568,
-	"loop4096/xarm32": 13568, "loop4096/xarm64": 13568, "loop4096/x86": 13568, "loop4096/amd64": 13568,
-	"calls/xarm32": 14176, "calls/xarm64": 14176, "calls/x86": 14112, "calls/amd64": 14176,
+	"short/xarm32": 4592, "short/xarm64": 4592, "short/x86": 4592, "short/amd64": 4592,
+	"loop4096/xarm32": 4592, "loop4096/xarm64": 4592, "loop4096/x86": 4592, "loop4096/amd64": 4592,
+	"calls/xarm32": 4912, "calls/xarm64": 4912, "calls/x86": 4848, "calls/amd64": 4912,
 }
 
 type emuBenchRow struct {
+	Entry         string  `json:"entry"`
 	Case          string  `json:"case"`
 	Arch          string  `json:"arch"`
 	InstrsPerOp   int64   `json:"instrs_per_op"`
@@ -132,30 +163,36 @@ func TestWriteEmuBenchArtifact(t *testing.T) {
 	if out == "" {
 		t.Skip("PATCHECKO_BENCH_OUT not set")
 	}
-	art := emuBenchArtifact{Benchmark: "internal/emu Execute: one function invocation per op, compiled at O2"}
-	for _, c := range execBenchCases() {
-		for _, arch := range isa.All() {
-			r := testing.Benchmark(func(b *testing.B) { benchExecute(b, c, arch) })
-			ceiling, ok := maxBytesPerExec[c.name+"/"+arch.Name]
-			if !ok {
-				t.Fatalf("no allocation ceiling for %s/%s", c.name, arch.Name)
-			}
-			row := emuBenchRow{
-				Case:          c.name,
-				Arch:          arch.Name,
-				InstrsPerOp:   int64(r.Extra["instrs/op"]),
-				NsPerOp:       float64(r.T.Nanoseconds()) / float64(r.N),
-				InstrsPerSec:  r.Extra["instrs/s"],
-				BytesPerOp:    r.AllocedBytesPerOp(),
-				MaxBytesPerOp: ceiling,
-				AllocsPerOp:   r.AllocsPerOp(),
-			}
-			art.Rows = append(art.Rows, row)
-			t.Logf("%s/%s: %d instrs, %.0f ns/op, %.1f M instrs/s, %d B/op",
-				row.Case, row.Arch, row.InstrsPerOp, row.NsPerOp, row.InstrsPerSec/1e6, row.BytesPerOp)
-			if row.BytesPerOp > ceiling {
-				t.Errorf("%s/%s allocates %d B per execution, above its %d B ceiling",
-					row.Case, row.Arch, row.BytesPerOp, ceiling)
+	art := emuBenchArtifact{Benchmark: "internal/emu Execute and Profile: one function invocation per op, compiled at O2"}
+	for _, e := range execEntries {
+		for _, c := range execBenchCases() {
+			for _, arch := range isa.All() {
+				r := testing.Benchmark(func(b *testing.B) { benchExecute(b, c, arch, e.run) })
+				ceiling, ok := maxBytesPerExec[c.name+"/"+arch.Name]
+				if !ok {
+					t.Fatalf("no allocation ceiling for %s/%s", c.name, arch.Name)
+				}
+				if e.name == "profile" {
+					ceiling = 0
+				}
+				row := emuBenchRow{
+					Entry:         e.name,
+					Case:          c.name,
+					Arch:          arch.Name,
+					InstrsPerOp:   int64(r.Extra["instrs/op"]),
+					NsPerOp:       float64(r.T.Nanoseconds()) / float64(r.N),
+					InstrsPerSec:  r.Extra["instrs/s"],
+					BytesPerOp:    r.AllocedBytesPerOp(),
+					MaxBytesPerOp: ceiling,
+					AllocsPerOp:   r.AllocsPerOp(),
+				}
+				art.Rows = append(art.Rows, row)
+				t.Logf("%s/%s/%s: %d instrs, %.0f ns/op, %.1f M instrs/s, %d B/op",
+					row.Entry, row.Case, row.Arch, row.InstrsPerOp, row.NsPerOp, row.InstrsPerSec/1e6, row.BytesPerOp)
+				if row.BytesPerOp > ceiling {
+					t.Errorf("%s/%s/%s allocates %d B per execution, above its %d B ceiling",
+						row.Entry, row.Case, row.Arch, row.BytesPerOp, ceiling)
+				}
 			}
 		}
 	}

@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/disasm"
 	"repro/internal/faultinject"
@@ -86,7 +87,8 @@ type Trace struct {
 	// each of its instructions ran (indexed by instruction position). F7
 	// through F14 and the executed-address set derive from these counts. A
 	// count never exceeds the step limit (1<<20 by default), so int32 is
-	// ample.
+	// ample. A pooled machine's trace keeps the count slices past len(funcs)
+	// of earlier executions for countsFor to reuse.
 	funcs []funcCounts
 }
 
@@ -100,16 +102,42 @@ func newTrace() *Trace {
 	return &Trace{stackDepthMin: math.MaxInt64}
 }
 
-// countsFor returns fn's execution counts, allocating them the first time
-// the execution enters fn. An execution enters a handful of functions, so
-// a linear scan beats a map here.
+// reset zeroes t for a new execution. The count slices stay behind
+// len(funcs) for countsFor to reuse.
+func (t *Trace) reset() {
+	*t = Trace{stackDepthMin: math.MaxInt64, funcs: t.funcs[:0]}
+}
+
+// release drops every function pointer t holds, so a pooled trace pins no
+// image. The spare slots past len(funcs) hold none: an execution only
+// appends to funcs, and the release after it cleared every slot it filled.
+func (t *Trace) release() {
+	for i := range t.funcs {
+		t.funcs[i].fn = nil
+	}
+}
+
+// countsFor returns fn's execution counts, zeroed the first time the
+// execution enters fn: a spare slice of an earlier execution when one is
+// large enough, a new one otherwise. An execution enters a handful of
+// functions, so a linear scan beats a map here.
 func (t *Trace) countsFor(fn *disasm.Function) []int32 {
 	for _, fc := range t.funcs {
 		if fc.fn == fn {
 			return fc.counts
 		}
 	}
-	c := make([]int32, len(fn.Instrs))
+	n := len(fn.Instrs)
+	var c []int32
+	if len(t.funcs) < cap(t.funcs) {
+		if spare := t.funcs[:len(t.funcs)+1][len(t.funcs)].counts; cap(spare) >= n {
+			c = spare[:n]
+			clear(c)
+		}
+	}
+	if c == nil {
+		c = make([]int32, n)
+	}
 	t.funcs = append(t.funcs, funcCounts{fn: fn, counts: c})
 	return c
 }
@@ -270,6 +298,13 @@ const (
 
 type page [pageSize]byte
 
+// maxSparePages bounds the pages a released machine keeps for reuse, so a
+// pooled machine cannot hoard the pages of its most memory-hungry
+// execution. On a cold device scan about 90% of executions materialise two
+// pages (the input buffer's and the top of the stack) and 1-3% more than
+// eight.
+const maxSparePages = 8
+
 // taggedMem is the emulator's address space with per-region access counting.
 type taggedMem struct {
 	rodata []byte
@@ -277,9 +312,46 @@ type taggedMem struct {
 	heap   [heapPages]*page
 	stack  [stackPages]*page
 	trace  *Trace
+
+	// used lists the page-table slots the execution materialised, so that
+	// release visits only those. spare holds pages earlier executions
+	// wrote; materialise clears one before handing it out.
+	used  []**page
+	spare []*page
 }
 
 var _ minic.Memory = (*taggedMem)(nil)
+
+// materialise backs the empty page-table slot with a zero page: a cleared
+// spare page when there is one, a new page otherwise.
+func (m *taggedMem) materialise(slot **page) *page {
+	var p *page
+	if n := len(m.spare); n > 0 {
+		p = m.spare[n-1]
+		m.spare = m.spare[:n-1]
+		clear(p[:])
+	} else {
+		p = new(page)
+	}
+	*slot = p
+	m.used = append(m.used, slot)
+	return p
+}
+
+// releasePages empties every slot the execution materialised and keeps up
+// to maxSparePages of their pages for the next one. A slot already emptied
+// (the data pages a Result took) is skipped.
+func (m *taggedMem) releasePages() {
+	for _, slot := range m.used {
+		if p := *slot; p != nil {
+			*slot = nil
+			if len(m.spare) < maxSparePages {
+				m.spare = append(m.spare, p)
+			}
+		}
+	}
+	m.used = m.used[:0]
+}
 
 // loadData copies an environment's input buffer into the data pages it
 // covers.
@@ -288,9 +360,7 @@ func (m *taggedMem) loadData(b []byte) {
 		b = b[:minic.DataSize]
 	}
 	for i := 0; i*pageSize < len(b); i++ {
-		p := new(page)
-		copy(p[:], b[i*pageSize:])
-		m.data[i] = p
+		copy(m.materialise(&m.data[i])[:], b[i*pageSize:])
 	}
 }
 
@@ -350,8 +420,7 @@ func (m *taggedMem) StoreByte(addr int64, v byte) error {
 	m.count(r, 1)
 	p := pages[off>>pageShift]
 	if p == nil {
-		p = new(page)
-		pages[off>>pageShift] = p
+		p = m.materialise(&pages[off>>pageShift])
 	}
 	p[off&pageMask] = v
 	return nil
@@ -388,8 +457,7 @@ func (m *taggedMem) storeWord(addr, v int64) error {
 	m.count(r, 8)
 	p := pages[off>>pageShift]
 	if p == nil {
-		p = new(page)
-		pages[off>>pageShift] = p
+		p = m.materialise(&pages[off>>pageShift])
 	}
 	binary.LittleEndian.PutUint64(p[off&pageMask:], uint64(v))
 	return nil
@@ -403,7 +471,9 @@ type frame struct {
 	pc     int     // resume instruction index in fn
 }
 
-// Machine executes one function invocation.
+// Machine executes one function invocation at a time. Every execution runs
+// on a machine from the machines pool: reset readies it, release returns it
+// clean.
 type Machine struct {
 	ctx   context.Context // nil = no watchdog, no cancellation
 	dis   *disasm.Disassembly
@@ -427,6 +497,14 @@ type Machine struct {
 	// flushDepth hands them to the trace whenever the depth changes.
 	depthSteps int64
 }
+
+// machines recycles emulator machines across executions: once its
+// worker's machine is warm, an execution allocates no machine, page table,
+// page or count slice beyond what a Result takes. sync.Pool keeps machines
+// per P, so a scan's workers each reuse roughly one, with nothing to plumb
+// through the callers. A pooled machine holds no reference into any image,
+// maps no page and keeps at most maxSparePages spare ones (see release).
+var machines = sync.Pool{New: func() any { return new(Machine) }}
 
 // Execute runs fn under env, with the given instruction budget
 // (DefaultStepLimit if limit <= 0). The environment's scalar arguments load
@@ -461,40 +539,76 @@ func ExecuteCtx(ctx context.Context, dis *disasm.Disassembly, fn *disasm.Functio
 // accounting is a handful of atomic adds per execution, off the per-step
 // hot loop.
 func ExecuteObserved(ctx context.Context, dis *disasm.Disassembly, fn *disasm.Function, env *minic.Env, limit int64, o *obs.Metrics) (*Result, error) {
-	m := newMachine(ctx, dis, fn, env, limit)
-	if err := faultinject.Fire(faultinject.ExecTrap, dis.Image.LibName+":"+fn.Name); err != nil {
-		observeExec(o, m.trace, err)
-		return &Result{Trace: m.trace, data: m.mem.data}, err
-	}
+	m := machines.Get().(*Machine)
 	// On a trap the result is partial: the trace up to the fault is the
 	// truncated profile the fault-tolerant dynamic stage ranks with.
-	err := m.run()
+	ret, err := m.exec(ctx, dis, fn, env, limit)
 	observeExec(o, m.trace, err)
-	return &Result{Ret: m.regs[0], Trace: m.trace, data: m.mem.data}, err
+	// The result takes the trace and the data pages; the machine makes new
+	// ones for its next execution.
+	res := &Result{Ret: ret, Trace: m.trace, data: m.mem.data}
+	m.trace, m.mem.trace, m.mem.data = nil, nil, [dataPages]*page{}
+	m.release()
+	machines.Put(m)
+	return res, err
 }
 
-// newMachine sets up fn's invocation under env, ready to run.
-func newMachine(ctx context.Context, dis *disasm.Disassembly, fn *disasm.Function, env *minic.Env, limit int64) *Machine {
+// Profile is ExecuteObserved for a caller that needs only the Table II
+// feature vector: it returns the execution's Trace.Vector (the trace up to
+// the fault when it traps) with the same error. The trace and the pages
+// stay with the pooled machine, so a warm execution allocates nothing.
+func Profile(ctx context.Context, dis *disasm.Disassembly, fn *disasm.Function, env *minic.Env, limit int64, o *obs.Metrics) ([21]float64, error) {
+	m := machines.Get().(*Machine)
+	_, err := m.exec(ctx, dis, fn, env, limit)
+	observeExec(o, m.trace, err)
+	vec := m.trace.Vector()
+	m.release()
+	machines.Put(m)
+	return vec, err
+}
+
+// exec resets m for fn's invocation under env and runs it, returning r0. An
+// armed faultinject.ExecTrap fails the execution before its first
+// instruction, with an empty trace and a zero return. A run that panics
+// never reaches its caller's release, so its machine never returns to the
+// pool.
+func (m *Machine) exec(ctx context.Context, dis *disasm.Disassembly, fn *disasm.Function, env *minic.Env, limit int64) (int64, error) {
+	m.reset(ctx, dis, fn, env, limit)
+	if err := faultinject.Fire(faultinject.ExecTrap, dis.Image.LibName+":"+fn.Name); err != nil {
+		return 0, err
+	}
+	err := m.run()
+	return m.regs[0], err
+}
+
+// reset readies m for fn's invocation under env, in exactly the state a
+// new(Machine) would reach: registers, flags, builtin state, call frames
+// and the depth run at their initial values, a zeroed trace, and the data
+// region holding env's buffer. What an earlier execution left is reused:
+// the trace's count slices, the frame stack's capacity and the spare pages
+// release kept, each cleared when it backs a page again.
+func (m *Machine) reset(ctx context.Context, dis *disasm.Disassembly, fn *disasm.Function, env *minic.Env, limit int64) {
 	if limit <= 0 {
 		limit = DefaultStepLimit
 	}
 	if ctx != nil && ctx.Done() == nil {
 		ctx = nil // no deadline and not cancellable: skip the polling
 	}
-	tr := newTrace()
-	m := &Machine{
-		ctx:    ctx,
-		dis:    dis,
-		mem:    taggedMem{rodata: dis.Image.Rodata, trace: tr},
-		bst:    *minic.NewBuiltinState(),
-		trace:  tr,
-		limit:  limit,
-		spReg:  dis.Arch.NumRegs - 1,
-		fn:     fn,
-		links:  dis.Links(fn),
-		counts: tr.countsFor(fn),
+	if m.trace == nil {
+		m.trace = newTrace()
+	} else {
+		m.trace.reset()
 	}
+	m.ctx, m.dis, m.limit = ctx, dis, limit
+	m.mem.rodata, m.mem.trace = dis.Image.Rodata, m.trace
 	m.mem.loadData(env.Data)
+	m.regs, m.args = [16]int64{}, [16]int64{}
+	m.flagL, m.flagR = 0, 0
+	m.bst = *minic.NewBuiltinState()
+	m.spReg = dis.Arch.NumRegs - 1
+	m.fn, m.links, m.counts, m.pc = fn, dis.Links(fn), m.trace.countsFor(fn), 0
+	m.frames = m.frames[:0]
+	m.depthSteps = 0
 	for i, a := range env.Args {
 		if i >= 4 {
 			break
@@ -502,7 +616,21 @@ func newMachine(ctx context.Context, dis *disasm.Disassembly, fn *disasm.Functio
 		m.regs[i] = a
 	}
 	m.regs[m.spReg] = StackTop
-	return m
+}
+
+// release readies m for the pool. It drops every reference into the image
+// it ran (the context, the disassembly and its rodata, the function and
+// its links, every frame, the trace's function pointers), so a pooled
+// machine pins no image. It empties the page tables and keeps at most
+// maxSparePages of their pages.
+func (m *Machine) release() {
+	m.ctx, m.dis, m.mem.rodata = nil, nil, nil
+	m.fn, m.links, m.counts = nil, nil, nil
+	clear(m.frames[:cap(m.frames)])
+	if m.trace != nil {
+		m.trace.release()
+	}
+	m.mem.releasePages()
 }
 
 // observeExec records one execution's accounting: the execution itself, its

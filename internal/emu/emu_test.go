@@ -184,7 +184,8 @@ func TestStackDepthStatsOnEveryExit(t *testing.T) {
 // report. The instruction that trips the step limit or the watchdog counts
 // in the total but is never executed, so it is not sampled.
 func referenceDepthStats(ctx context.Context, dis *disasm.Disassembly, fn *disasm.Function, env *minic.Env, limit int64, inject bool) (int64, [4]float64) {
-	m := newMachine(ctx, dis, fn, env, limit)
+	m := new(Machine)
+	m.reset(ctx, dis, fn, env, limit)
 	var instrs, minD, maxD int64
 	var sum, sum2 float64
 	minD = math.MaxInt64
