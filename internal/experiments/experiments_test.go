@@ -598,7 +598,9 @@ func TestVerdictSweep(t *testing.T) {
 
 // writeVerdictLine renders one (seed, device, mode) Table VIII as its
 // accuracy followed by one entry per miss: the CVE, what was reported
-// against the ground truth, and the reported confidence.
+// against the ground truth, the reported confidence, and whether the
+// verdict is about the true host function ("true-fn") or a wrong match
+// ("wrong-fn").
 func writeVerdictLine(w *bytes.Buffer, seed int64, mode string, r VerdictResult) {
 	ok := 0
 	var misses []string
@@ -615,8 +617,12 @@ func writeVerdictLine(w *bytes.Buffer, seed int64, mode string, r VerdictResult)
 		case !row.Found:
 			misses = append(misses, row.CVE+" not-found")
 		default:
-			misses = append(misses, fmt.Sprintf("%s %s/%s@%.2f", row.CVE,
-				state(row.Reported), state(row.GroundTruth), row.Confidence))
+			fn := "wrong-fn"
+			if row.TrueMatch {
+				fn = "true-fn"
+			}
+			misses = append(misses, fmt.Sprintf("%s %s/%s@%.2f %s", row.CVE,
+				state(row.Reported), state(row.GroundTruth), row.Confidence, fn))
 		}
 	}
 	fmt.Fprintf(w, "seed %d %s %s: %d/%d (%.0f%%)", seed, r.Device, mode, ok, len(r.Rows), 100*r.Accuracy())

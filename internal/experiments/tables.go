@@ -274,6 +274,10 @@ type VerdictRow struct {
 	Reported    bool
 	GroundTruth bool
 	Confidence  float64
+	// TrueMatch reports whether the matched function is the CVE's true
+	// host function. A miss without it is a verdict about the wrong
+	// function, which no verdict-side change can repair.
+	TrueMatch bool
 }
 
 // Correct reports agreement with ground truth.
@@ -343,6 +347,7 @@ func (s *Suite) verdictsWith(ctx context.Context, an *patchecko.Analyzer, device
 			row.Found = true
 			row.Reported = scan.Verdict.Patched
 			row.Confidence = scan.Verdict.Confidence
+			row.TrueMatch = scan.Match.Addr == truth.Addr
 		}
 		res.Rows = append(res.Rows, row)
 	}
