@@ -39,9 +39,10 @@ bench:
 # BENCH_static.json (ns/pair, pairs/sec, allocs/op, speedup). Fails if the
 # batched path allocates in steady state or the speedup drops below 3x.
 # The second step merges the component-identification prefilter rows
-# (grid reduction, ground-truth recall, fingerprint/signature costs); it
-# fails if recall on any fixture is not 1.0 or the fleet fixture's grid
-# reduction drops below 2x.
+# (grid reduction, ground-truth recall, fingerprint/signature costs, keep
+# decisions first and memoized) and the prepare row (PrepareImages on a
+# set of releases that repeat images); it fails if recall on any fixture
+# is not 1.0 or the fleet fixture's grid reduction drops below 2x.
 bench-static:
 	PATCHECKO_BENCH_OUT=$(CURDIR)/BENCH_static.json $(GO) test ./internal/detector/ -run TestWriteStaticBenchArtifact -count=1 -v
 	PATCHECKO_BENCH_OUT=$(CURDIR)/BENCH_static.json $(GO) test ./patchecko/ -run TestWritePrefilterBenchArtifact -count=1 -v

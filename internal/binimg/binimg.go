@@ -9,9 +9,11 @@
 package binimg
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 	"hash/crc32"
 	"sort"
 
@@ -85,26 +87,20 @@ func (im *Image) SymbolAt(addr uint64) (Symbol, bool) {
 // Encode serializes the image.
 func Encode(im *Image) []byte {
 	var w writer
-	w.bytes(Magic[:])
-	w.str(im.Arch)
-	w.str(im.LibName)
-	w.str(im.OptLevel)
-	w.u8(boolByte(im.Stripped))
-	w.blob(im.Text)
-	w.blob(im.Rodata)
-	w.u32(uint32(len(im.Imports)))
-	for _, s := range im.Imports {
-		w.str(s)
-	}
-	w.u32(uint32(len(im.Symbols)))
-	for _, s := range im.Symbols {
-		w.str(s.Name)
-		w.u64(s.Addr)
-		w.u64(s.Size)
-	}
-	sum := crc32.ChecksumIEEE(w.buf)
-	w.u32(sum)
+	w.image(im)
 	return w.buf
+}
+
+// Digest returns the SHA-256 of the image's encoding, Encode(im). It
+// streams the same bytes into the hash instead of building them, so no
+// encoded copy of the image is allocated. Two images have equal digests
+// exactly when they have equal encodings.
+func Digest(im *Image) [sha256.Size]byte {
+	w := writer{h: sha256.New()}
+	w.image(im)
+	var d [sha256.Size]byte
+	w.h.Sum(d[:0])
+	return d
 }
 
 // Decode parses an encoded image, validating the trailing checksum.
@@ -166,13 +162,80 @@ func boolByte(b bool) uint8 {
 	return 0
 }
 
-type writer struct{ buf []byte }
+// writer produces an image's encoding, the one byte stream behind both
+// Encode and Digest. Without h it keeps the whole stream in buf. With h it
+// forwards the stream to h in chunks of about flushAt bytes, and large
+// blobs directly, so buf stays small; crc then covers what h received.
+type writer struct {
+	buf []byte
+	h   hash.Hash
+	crc uint32
+}
 
-func (w *writer) u8(v uint8)   { w.buf = append(w.buf, v) }
-func (w *writer) u32(v uint32) { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
-func (w *writer) u64(v uint64) { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
+// flushAt is the buffered size at which a hashing writer hands buf to h.
+const flushAt = 512
+
+func (w *writer) image(im *Image) {
+	w.bytes(Magic[:])
+	w.str(im.Arch)
+	w.str(im.LibName)
+	w.str(im.OptLevel)
+	w.u8(boolByte(im.Stripped))
+	w.blob(im.Text)
+	w.blob(im.Rodata)
+	w.u32(uint32(len(im.Imports)))
+	for _, s := range im.Imports {
+		w.str(s)
+	}
+	w.u32(uint32(len(im.Symbols)))
+	for _, s := range im.Symbols {
+		w.str(s.Name)
+		w.u64(s.Addr)
+		w.u64(s.Size)
+	}
+	w.checksum()
+}
+
+// checksum appends the trailing CRC-32 of everything written so far.
+func (w *writer) checksum() {
+	if w.h == nil {
+		w.u32(crc32.ChecksumIEEE(w.buf))
+		return
+	}
+	w.flush()
+	w.u32(w.crc)
+	w.flush()
+}
+
+// send hands b to the hash and folds it into the running checksum.
+func (w *writer) send(b []byte) {
+	w.h.Write(b)
+	w.crc = crc32.Update(w.crc, crc32.IEEETable, b)
+}
+
+func (w *writer) flush() {
+	w.send(w.buf)
+	w.buf = w.buf[:0]
+}
+
+// spill flushes a hashing writer's buffer once it reaches flushAt.
+func (w *writer) spill() {
+	if w.h != nil && len(w.buf) >= flushAt {
+		w.flush()
+	}
+}
+
+func (w *writer) u8(v uint8)   { w.buf = append(w.buf, v); w.spill() }
+func (w *writer) u32(v uint32) { w.buf = binary.LittleEndian.AppendUint32(w.buf, v); w.spill() }
+func (w *writer) u64(v uint64) { w.buf = binary.LittleEndian.AppendUint64(w.buf, v); w.spill() }
 func (w *writer) bytes(b []byte) {
+	if w.h != nil && len(b) >= flushAt {
+		w.flush()
+		w.send(b)
+		return
+	}
 	w.buf = append(w.buf, b...)
+	w.spill()
 }
 func (w *writer) blob(b []byte) {
 	w.u32(uint32(len(b)))
@@ -181,6 +244,7 @@ func (w *writer) blob(b []byte) {
 func (w *writer) str(s string) {
 	w.u32(uint32(len(s)))
 	w.buf = append(w.buf, s...)
+	w.spill()
 }
 
 type reader struct {

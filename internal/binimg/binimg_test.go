@@ -1,6 +1,8 @@
 package binimg
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"errors"
 	"reflect"
 	"testing"
@@ -41,6 +43,9 @@ func TestEncodeDecodeRoundtripQuick(t *testing.T) {
 			Arch: "x86", LibName: lib, OptLevel: "O0",
 			Text: text, Rodata: rodata, Stripped: stripped,
 		}
+		if Digest(im) != sha256.Sum256(Encode(im)) {
+			return false
+		}
 		got, err := Decode(Encode(im))
 		if err != nil {
 			return false
@@ -52,6 +57,45 @@ func TestEncodeDecodeRoundtripQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestDigestMatchesEncode pins Digest to the hash of Encode's bytes: on
+// the sample image, on one whose text and symbols outgrow the hashing
+// writer's buffer, and under every one-field change, each of which must
+// move the digest.
+func TestDigestMatchesEncode(t *testing.T) {
+	large := sampleImage()
+	large.Text = bytes.Repeat([]byte{7, 1, 9}, 3*flushAt)
+	for i := 0; i < 100; i++ {
+		large.Symbols = append(large.Symbols, Symbol{Name: "fn_with_a_longish_name", Addr: uint64(i), Size: 3})
+	}
+	for _, im := range []*Image{sampleImage(), large, {}} {
+		if got, want := Digest(im), sha256.Sum256(Encode(im)); got != want {
+			t.Errorf("%q: Digest %x, want sha256(Encode) %x", im.LibName, got, want)
+		}
+	}
+
+	base := Digest(sampleImage())
+	edits := map[string]func(*Image){
+		"Arch":     func(im *Image) { im.Arch = "x86" },
+		"LibName":  func(im *Image) { im.LibName = "libother" },
+		"OptLevel": func(im *Image) { im.OptLevel = "O0" },
+		"Stripped": func(im *Image) { im.Stripped = !im.Stripped },
+		"Text":     func(im *Image) { im.Text[2] ^= 1 },
+		"Rodata":   func(im *Image) { im.Rodata[0] = 'j' },
+		"Imports":  func(im *Image) { im.Imports[1] = "strcpy" },
+		"Symbols":  func(im *Image) { im.Symbols[1].Size++ },
+	}
+	for field, edit := range edits {
+		im := sampleImage()
+		edit(im)
+		if Digest(im) == base {
+			t.Errorf("changing %s left the digest unchanged", field)
+		}
+		if got, want := Digest(im), sha256.Sum256(Encode(im)); got != want {
+			t.Errorf("after changing %s: Digest %x, want sha256(Encode) %x", field, got, want)
+		}
 	}
 }
 

@@ -1,9 +1,13 @@
 package binimg
 
-import "testing"
+import (
+	"crypto/sha256"
+	"testing"
+)
 
 // FuzzImageDecode hardens the image parser: arbitrary bytes must never
-// panic, and valid images must round-trip.
+// panic, valid images must round-trip, and an accepted image's digest is
+// the hash of its encoding.
 func FuzzImageDecode(f *testing.F) {
 	f.Add(Encode(sampleImage()))
 	f.Add([]byte("PCKO01garbage"))
@@ -12,6 +16,9 @@ func FuzzImageDecode(f *testing.F) {
 		im, err := Decode(data)
 		if err != nil {
 			return
+		}
+		if Digest(im) != sha256.Sum256(Encode(im)) {
+			t.Fatal("Digest differs from sha256(Encode)")
 		}
 		re, err := Decode(Encode(im))
 		if err != nil {

@@ -13,6 +13,7 @@ package patchecko
 
 import (
 	"context"
+	"crypto/sha256"
 	"runtime"
 	"slices"
 	"sync"
@@ -137,11 +138,14 @@ type dynEntry struct {
 // patched-mode cells share one execution, and the row also holds the
 // body's ranking distances and verdict. Its row count grows with the
 // distinct bodies that reached the CVE. The table also carries the CVE's
-// component signature for the prefilter, derived once on first use.
+// component signature for the prefilter, derived once on first use, and
+// the prefilter's keep decision per image content: the signature depends
+// only on (CVE, arch), so an image's decision is fixed by its digest.
 type dedupTable struct {
 	mu     sync.Mutex
 	scores map[scoreKey]*scoreEntry
 	dyn    map[cas.Addr]*dynEntry
+	keep   map[[sha256.Size]byte]bool
 
 	sigOnce sync.Once
 	sig     *compid.Signature
@@ -178,11 +182,12 @@ func memo[K comparable, V any](m *map[K]*V, k K) *V {
 // their static vectors and signatures, first-layer query halves, dynamic
 // profiles) and the content-addressed dedup tables (static scores,
 // candidate validations, ranking distances and verdicts per function body,
-// plus the CVE's prefilter signature). Every Analyzer owns a private one;
-// the resident scan service gives every job one process-wide cache, so a
-// CVE's reference is profiled and its signature derived once per process,
-// not once per job, and a firmware update executes, ranks and decides only
-// the bodies no earlier job did.
+// plus the CVE's prefilter signature and its keep decision per image
+// digest). Every Analyzer owns a private one; the resident scan service
+// gives every job one process-wide cache, so a CVE's reference is profiled
+// and its signature derived once per process, not once per job, and a
+// firmware update executes, ranks and decides only the bodies no earlier
+// job did, and matches only the images no earlier job did.
 //
 // The zero value is ready to use. Only InvalidateCVE drops slots: at one
 // step limit there is at most one per (CVE, arch, mode) reference and one
@@ -209,9 +214,9 @@ func (c *RefCache) table(cve, arch string, limit int64) *dedupTable {
 
 // InvalidateCVE drops every cached slot for the CVE — its references and
 // its dedup tables with all their score and validation rows (distances and
-// verdicts included) and its signature — forcing the next consult to
-// recompute. Holders of a slot checked out before keep their pointer; the
-// cache merely forgets it. The scan service calls it before retrying a job
+// verdicts included), its signature and its keep decisions — forcing the
+// next consult to recompute. Holders of a slot checked out before keep
+// their pointer; the cache merely forgets it. The scan service calls it before retrying a job
 // whose ScanErrors named the CVE: failures memoize permanently (they are
 // deterministic for a fixed environment), so a transient fault — an
 // injected chaos fault, a since-fixed reference file — must be evicted
@@ -354,10 +359,13 @@ type ScanStats struct {
 }
 
 // PrepareImages disassembles and feature-extracts a set of library images
-// with a bounded worker pool. Results keep the input order. When several
-// images fail, the error of the lowest-index image wins regardless of which
-// worker hit its error first, so the call is deterministic for any worker
-// count. workers <= 0 defaults to runtime.NumCPU.
+// with a bounded worker pool. Results keep the input order. Images with
+// equal encodings (binimg.Digest) are prepared once: every such slot gets
+// the same *PreparedImage, or the same error. Nothing is kept after the
+// call. When several images fail, the error of the lowest-index image wins
+// regardless of which worker hit its error first, so the call is
+// deterministic for any worker count. workers <= 0 defaults to
+// runtime.NumCPU.
 //
 // This is the fail-fast entry point for callers that need all images; the
 // firmware scan engine isolates per-image failures instead.
@@ -382,16 +390,43 @@ func PrepareImages(ctx context.Context, images []*binimg.Image, workers int) ([]
 }
 
 // prepareAll runs the shared prepare pool, returning per-image results and
-// errors in input order.
+// errors in input order. It hashes every image, prepares the first image
+// of each distinct digest, and gives every later image with that digest
+// the first one's result.
 func prepareAll(ctx context.Context, images []*binimg.Image, workers int) ([]*PreparedImage, []error) {
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers > len(images) {
-		workers = len(images)
+	digests := make([][sha256.Size]byte, len(images))
+	forEach(ctx, len(images), workers, func(i int) { digests[i] = binimg.Digest(images[i]) })
+	first := make(map[[sha256.Size]byte]int, len(images))
+	var distinct []int
+	for i, d := range digests {
+		if _, ok := first[d]; !ok {
+			first[d] = i
+			distinct = append(distinct, i)
+		}
 	}
 	prepared := make([]*PreparedImage, len(images))
 	errs := make([]error, len(images))
+	forEach(ctx, len(distinct), workers, func(k int) {
+		i := distinct[k]
+		prepared[i], errs[i] = prepareOne(images[i], digests[i])
+	})
+	for i, d := range digests {
+		if r := first[d]; r != i {
+			prepared[i], errs[i] = prepared[r], errs[r]
+		}
+	}
+	return prepared, errs
+}
+
+// forEach calls fn(i) for every i in [0, n) on a pool of workers goroutines
+// (workers <= 0 means runtime.NumCPU), stopping early once ctx ends.
+func forEach(ctx context.Context, n, workers int, fn func(i int)) {
+	if workers <= 0 {
+		workers = runtime.NumCPU()
+	}
+	if workers > n {
+		workers = n
+	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -400,20 +435,19 @@ func prepareAll(ctx context.Context, images []*binimg.Image, workers int) ([]*Pr
 			defer wg.Done()
 			for {
 				i := int(next.Add(1) - 1)
-				if i >= len(images) || ctx.Err() != nil {
+				if i >= n || ctx.Err() != nil {
 					return
 				}
-				prepared[i], errs[i] = prepareOne(images[i])
+				fn(i)
 			}
 		}()
 	}
 	wg.Wait()
-	return prepared, errs
 }
 
 // prepareOne prepares a single image with panic containment and the
 // prepare-stage fault point armed for chaos tests.
-func prepareOne(im *binimg.Image) (p *PreparedImage, err error) {
+func prepareOne(im *binimg.Image, digest [sha256.Size]byte) (p *PreparedImage, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			p, err = nil, &panicError{r}
@@ -422,7 +456,7 @@ func prepareOne(im *binimg.Image) (p *PreparedImage, err error) {
 	if ferr := faultinject.Fire(faultinject.PrepareFail, im.LibName); ferr != nil {
 		return nil, ferr
 	}
-	return Prepare(im)
+	return prepare(im, digest)
 }
 
 // prepareImagesIsolated prepares every image, converting failures into

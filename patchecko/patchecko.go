@@ -31,6 +31,7 @@ package patchecko
 
 import (
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"sync"
 	"time"
@@ -220,13 +221,19 @@ func NewAnalyzer(model *Model, db *DB) *Analyzer {
 func (a *Analyzer) DB() *DB { return a.db }
 
 // PreparedImage caches the static stage's per-image work (disassembly and
-// feature extraction) so one image can be scanned for many CVEs.
+// feature extraction) so one image can be scanned for many CVEs. Everything
+// it holds is determined by the image's content, so images with equal
+// encodings may share one PreparedImage (see PrepareImages).
 type PreparedImage struct {
 	Image *Image
 	Dis   *disasm.Disassembly
 	Vecs  []features.Vector
 	// CAS holds each function's content address, aligned with Dis.Funcs.
 	CAS []cas.Addr
+
+	// digest is the SHA-256 of the image's binimg encoding. It keys the
+	// prefilter's memoized keep decisions.
+	digest [sha256.Size]byte
 
 	// uniq lists one representative function index per distinct content
 	// address, in first-occurrence order; uniqPos maps every function to its
@@ -271,11 +278,17 @@ func (p *PreparedImage) UniqueTargets(m *Model) *detector.TargetSet {
 
 // Prepare disassembles the image and extracts per-function features.
 func Prepare(im *Image) (*PreparedImage, error) {
+	return prepare(im, binimg.Digest(im))
+}
+
+// prepare is Prepare for an image whose content digest the caller already
+// computed.
+func prepare(im *Image, digest [sha256.Size]byte) (*PreparedImage, error) {
 	dis, err := disasm.Disassemble(im)
 	if err != nil {
 		return nil, fmt.Errorf("patchecko: %s: %w", im.LibName, err)
 	}
-	p := &PreparedImage{Image: im, Dis: dis}
+	p := &PreparedImage{Image: im, Dis: dis, digest: digest}
 	p.Vecs = make([]features.Vector, len(dis.Funcs))
 	for i, f := range dis.Funcs {
 		p.Vecs[i] = features.Extract(dis, f)

@@ -198,13 +198,45 @@ type prefilterCosts struct {
 	// SignatureNsPerCVE is the one-time per-(CVE, arch) derivation cost,
 	// memoized for the life of the analyzer.
 	SignatureNsPerCVE int64 `json:"signature_ns_per_cve"`
-	// KeepMatrixNs is the warm per-scan cost of every keep decision.
-	KeepMatrixNs int64 `json:"keep_matrix_ns"`
+	// KeepMatrixFirstNs is one scan's keep decisions with the signatures
+	// derived but no decision memoized: every image is matched.
+	KeepMatrixFirstNs int64 `json:"keep_matrix_first_ns"`
+	// KeepMatrixMemoNs is the same decisions answered from the per-digest
+	// memo, as a rescan of the same images pays them.
+	KeepMatrixMemoNs int64 `json:"keep_matrix_memo_ns"`
+}
+
+// prepareArtifact is the "prepare" object merged into BENCH_static.json:
+// PrepareImages on a firmware set that repeats images, next to preparing
+// every image on its own.
+type prepareArtifact struct {
+	Fixture  string `json:"fixture"`
+	Images   int    `json:"images"`
+	Distinct int    `json:"distinct"`
+	// PrepareImagesNs is one PrepareImages call on one worker, which
+	// prepares each distinct content once.
+	PrepareImagesNs int64 `json:"prepare_images_ns"`
+	// PrepareEachNs is Prepare called on every image in turn.
+	PrepareEachNs int64 `json:"prepare_each_ns"`
+}
+
+// forgetKeeps drops every keep decision memoized on the analyzer's tables,
+// keeping their signatures.
+func forgetKeeps(an *Analyzer) {
+	c := an.refcache()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, t := range c.tables {
+		t.mu.Lock()
+		t.keep = nil
+		t.mu.Unlock()
+	}
 }
 
 // TestWritePrefilterBenchArtifact measures the prefilter's grid reduction
 // and recall on the device and fleet fixtures plus its own costs, and
-// merges the "prefilter" object into the artifact at PATCHECKO_BENCH_OUT.
+// PrepareImages on the duplicate-release fleet, and merges the "prefilter"
+// and "prepare" objects into the artifact at PATCHECKO_BENCH_OUT.
 // Skipped when the variable is unset; `make bench-static` opts in after the
 // detector writer has run.
 func TestWritePrefilterBenchArtifact(t *testing.T) {
@@ -267,7 +299,8 @@ func TestWritePrefilterBenchArtifact(t *testing.T) {
 	}
 
 	// Costs, on the fleet fixture: cold fingerprint extraction per image,
-	// cold signature derivation per CVE, and one scan's warm keep decisions.
+	// cold signature derivation per CVE, and one scan's keep decisions,
+	// first matched and then answered from the memo.
 	fleet := fixtures[len(fixtures)-1].fw
 	fpRes := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -286,7 +319,15 @@ func TestWritePrefilterBenchArtifact(t *testing.T) {
 	})
 	warm := &Analyzer{Prefilter: true}
 	prunedCells(warm, fleetPrepared, ids)
-	keepRes := testing.Benchmark(func(b *testing.B) {
+	firstRes := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			forgetKeeps(warm)
+			b.StartTimer()
+			prunedCells(warm, fleetPrepared, ids)
+		}
+	})
+	memoRes := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			prunedCells(warm, fleetPrepared, ids)
 		}
@@ -294,10 +335,41 @@ func TestWritePrefilterBenchArtifact(t *testing.T) {
 	art.Costs = prefilterCosts{
 		FingerprintNsPerImage: fpRes.NsPerOp() / int64(len(fleetPrepared)),
 		SignatureNsPerCVE:     sigRes.NsPerOp() / int64(len(ids)),
-		KeepMatrixNs:          keepRes.NsPerOp(),
+		KeepMatrixFirstNs:     firstRes.NsPerOp(),
+		KeepMatrixMemoNs:      memoRes.NsPerOp(),
 	}
-	t.Logf("fingerprint %d ns/image, signature %d ns/cve, warm keep decisions %d ns",
-		art.Costs.FingerprintNsPerImage, art.Costs.SignatureNsPerCVE, art.Costs.KeepMatrixNs)
+	t.Logf("fingerprint %d ns/image, signature %d ns/cve, keep decisions %d ns first, %d ns memoized",
+		art.Costs.FingerprintNsPerImage, art.Costs.SignatureNsPerCVE,
+		art.Costs.KeepMatrixFirstNs, art.Costs.KeepMatrixMemoNs)
+
+	// Prepare on the duplicate-release fleet: one PrepareImages call against
+	// preparing every image on its own.
+	releases := releaseFleet(t)
+	prepRes := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := PrepareImages(context.Background(), releases.Images, 1); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	eachRes := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for _, im := range releases.Images {
+				if _, err := Prepare(im); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+	prep := prepareArtifact{
+		Fixture:         "releases",
+		Images:          len(releases.Images),
+		Distinct:        distinctImages(releases.Images),
+		PrepareImagesNs: prepRes.NsPerOp(),
+		PrepareEachNs:   eachRes.NsPerOp(),
+	}
+	t.Logf("prepare: %d images, %d distinct, PrepareImages %d ns, Prepare each %d ns",
+		prep.Images, prep.Distinct, prep.PrepareImagesNs, prep.PrepareEachNs)
 
 	for _, row := range art.Rows {
 		if row.Recall != 1.0 {
@@ -320,6 +392,9 @@ func TestWritePrefilterBenchArtifact(t *testing.T) {
 		t.Fatal(err)
 	}
 	merged["prefilter"] = rawPre
+	if merged["prepare"], err = json.Marshal(prep); err != nil {
+		t.Fatal(err)
+	}
 	raw, err := json.MarshalIndent(merged, "", "  ")
 	if err != nil {
 		t.Fatal(err)
