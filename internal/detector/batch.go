@@ -95,14 +95,16 @@ func (m *Model) PrepareQuery(query features.Vector) *QueryHalves {
 // concurrent use; the scan engine keeps one per worker goroutine.
 type Scorer struct {
 	model   *Model
+	engine  *nn.Engine
 	scratch *nn.Scratch
 	out     []Candidate
 	obs     *obs.Metrics
 }
 
-// NewScorer builds a scoring context for the model.
+// NewScorer builds a scoring context for the model. Every Scorer of the
+// model shares its one nn.Engine.
 func (m *Model) NewScorer() *Scorer {
-	return &Scorer{model: m, scratch: m.Net.NewScratch()}
+	return &Scorer{model: m, engine: m.hiddenEngine(), scratch: m.Net.NewScratch()}
 }
 
 // Observe attaches a metrics sink (nil for the no-op default) and returns
@@ -115,10 +117,10 @@ func (s *Scorer) Observe(o *obs.Metrics) *Scorer {
 
 // Pair scores prepared target i against the prepared query, symmetrized
 // over both input orders — bit-identical to Model.Similarity on the raw
-// vectors. Both directions run in one interleaved forward pass that loads
-// each weight row once.
+// vectors. Both directions run in one forward pass that loads each layer's
+// weights once.
 func (s *Scorer) Pair(q *QueryHalves, ts *TargetSet, i int) float64 {
-	lqt, ltq := s.model.Net.InferLogitSplitScratch2(s.scratch,
+	lqt, ltq := s.engine.InferLogitSplitScratch2(s.scratch,
 		q.first, ts.secondHalf(i), ts.firstHalf(i), q.second)
 	return (nn.Sigmoid(lqt) + nn.Sigmoid(ltq)) / 2
 }

@@ -116,6 +116,16 @@ func TestScorerSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestScorersShareOneEngine: the hidden layers' kernel layout is built once
+// per model, not once per Scorer (the scan engine makes one per worker).
+func TestScorersShareOneEngine(t *testing.T) {
+	m, _ := syntheticModel(11, 20)
+	a, b := m.NewScorer(), m.NewScorer()
+	if a.engine == nil || a.engine != b.engine {
+		t.Fatalf("scorers of one model hold engines %p and %p, want one shared", a.engine, b.engine)
+	}
+}
+
 // TestPrepareQueryMatchesPrepareTargets: the query- and target-side
 // precomputations of the same vector are the same numbers, so a reference
 // scored as a query equals itself scored as a target.

@@ -3,7 +3,10 @@ package detector
 import (
 	"encoding/json"
 	"os"
+	"runtime"
+	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/features"
 	"repro/internal/obs"
@@ -12,8 +15,7 @@ import (
 // benchTargets approximates one ScaleSmall library image's function count.
 const benchTargets = 400
 
-func benchFixture(b *testing.B) (*Model, features.Vector, []features.Vector) {
-	b.Helper()
+func benchFixture() (*Model, features.Vector, []features.Vector) {
 	m, rng := syntheticModel(1, 100)
 	targets := make([]features.Vector, benchTargets)
 	for i := range targets {
@@ -22,64 +24,13 @@ func benchFixture(b *testing.B) (*Model, features.Vector, []features.Vector) {
 	return m, syntheticVector(rng), targets
 }
 
-// BenchmarkCandidatesScalar is the static stage's scalar baseline: per
-// pair, both vectors are normalized and pushed through the first layer
-// from scratch, and every layer output is freshly allocated.
-func BenchmarkCandidatesScalar(b *testing.B) {
-	m, query, targets := benchFixture(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = m.Candidates(query, targets)
-	}
-	reportPairMetrics(b, len(targets))
-}
-
-// BenchmarkCandidatesBatched is the steady-state batched path: target and
-// query halves precomputed (as the scan engine's caches hold them), all
-// forward passes in per-worker scratch buffers.
-func BenchmarkCandidatesBatched(b *testing.B) {
-	m, query, targets := benchFixture(b)
-	ts := m.PrepareTargets(targets)
-	qh := m.PrepareQuery(query)
-	sc := m.NewScorer()
-	sc.Candidates(qh, ts) // warm the candidate buffer
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = sc.Candidates(qh, ts)
-	}
-	reportPairMetrics(b, len(targets))
-}
-
-// BenchmarkCandidatesObserved is the batched path with a live metrics sink
-// attached: the instrumentation budget is two bulk atomic adds per
-// Candidates call, so ns/pair must stay within noise of the unobserved
-// batched path and the steady state must stay allocation-free. (A nil sink
-// is the same code path with the adds compiled down to nil-receiver
-// returns; BenchmarkCandidatesBatched already covers it.)
-func BenchmarkCandidatesObserved(b *testing.B) {
-	m, query, targets := benchFixture(b)
-	ts := m.PrepareTargets(targets)
-	qh := m.PrepareQuery(query)
-	sc := m.NewScorer().Observe(obs.New())
-	sc.Candidates(qh, ts) // warm the candidate buffer
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = sc.Candidates(qh, ts)
-	}
-	reportPairMetrics(b, len(targets))
-}
-
 // benchOverlapUnique sizes the content-dedup fixture: benchTargets (400)
 // target slots share benchOverlapUnique (80) distinct bodies, five copies
 // each — the fleet-scan shape where one vendor library ships on several
 // device images.
 const benchOverlapUnique = 80
 
-func benchOverlapFixture(b *testing.B) (m *Model, query features.Vector, targets, unique []features.Vector, idx []int) {
-	b.Helper()
+func benchOverlapFixture() (m *Model, query features.Vector, targets, unique []features.Vector, idx []int) {
 	m, rng := syntheticModel(1, 100)
 	unique = make([]features.Vector, benchOverlapUnique)
 	for i := range unique {
@@ -94,38 +45,64 @@ func benchOverlapFixture(b *testing.B) (m *Model, query features.Vector, targets
 	return m, syntheticVector(rng), targets, unique, idx
 }
 
-// BenchmarkCandidatesOverlapBatched is the dedup baseline: the batched path
-// scoring all 400 target slots, blind to the fact that only 80 bodies are
-// distinct. This is what every scan paid before content addressing.
-func BenchmarkCandidatesOverlapBatched(b *testing.B) {
-	m, query, targets, _, _ := benchOverlapFixture(b)
+var benchCandidates []Candidate
+
+// scalarOp is the static stage's scalar baseline: per pair, both vectors
+// are normalized and pushed through the first layer from scratch, and
+// every layer output is freshly allocated.
+func scalarOp() func() {
+	m, query, targets := benchFixture()
+	return func() { benchCandidates = m.Candidates(query, targets) }
+}
+
+// scorerOps builds the steady-state batched path and the same path with a
+// live metrics sink attached. Both run on one Scorer over one prepared
+// query and target set, attaching or detaching the sink per call, so that
+// they differ only in the sink and not in where their buffers landed.
+//
+// batched: target and query halves precomputed (as the scan engine's
+// caches hold them), all forward passes in per-worker scratch buffers.
+//
+// observed: the instrumentation budget is two bulk atomic adds per
+// Candidates call, so ns/pair must stay within noise of the unobserved
+// batched path and the steady state must stay allocation-free. (A nil sink
+// is the same code path with the adds compiled down to nil-receiver
+// returns; batched already covers it.)
+func scorerOps() (batched, observed func()) {
+	m, query, targets := benchFixture()
+	ts := m.PrepareTargets(targets)
+	qh := m.PrepareQuery(query)
+	sc, sink := m.NewScorer(), obs.New()
+	sc.Candidates(qh, ts) // warm the candidate buffer
+	return func() { benchCandidates = sc.Observe(nil).Candidates(qh, ts) },
+		func() { benchCandidates = sc.Observe(sink).Candidates(qh, ts) }
+}
+
+// overlapOp is the dedup baseline: the batched path scoring all 400 target
+// slots, blind to the fact that only 80 bodies are distinct. This is what
+// every scan paid before content addressing.
+func overlapOp() func() {
+	m, query, targets, _, _ := benchOverlapFixture()
 	ts := m.PrepareTargets(targets)
 	qh := m.PrepareQuery(query)
 	sc := m.NewScorer()
 	sc.Candidates(qh, ts) // warm the candidate buffer
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = sc.Candidates(qh, ts)
-	}
-	reportPairMetrics(b, len(targets))
+	return func() { benchCandidates = sc.Candidates(qh, ts) }
 }
 
-// BenchmarkCandidatesDeduped is the content-addressed path: score each of
-// the 80 unique bodies once, then fan the scores out to all 400 slots
-// through the address→slot index — the same shape patchecko's dedup layer
-// uses. ns/pair is reported over the 400 effective pairs, so the speedup
-// against OverlapBatched is the measured dedup win at 5x duplication.
-func BenchmarkCandidatesDeduped(b *testing.B) {
-	m, query, _, unique, idx := benchOverlapFixture(b)
+// dedupedOp is the content-addressed path: score each of the 80 unique
+// bodies once, then fan the scores out to all 400 slots through the
+// address→slot index — the same shape patchecko's dedup layer uses. Its
+// cost is still counted over the 400 effective pairs, so the speedup
+// against overlapOp is the measured dedup win at 5x duplication.
+func dedupedOp() func() {
+	m, query, _, unique, idx := benchOverlapFixture()
 	ts := m.PrepareTargets(unique)
 	qh := m.PrepareQuery(query)
 	sc := m.NewScorer()
 	scores := make([]float64, benchOverlapUnique)
 	fanned := make([]float64, benchTargets)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() {
 		for u := 0; u < benchOverlapUnique; u++ {
 			scores[u] = sc.Pair(qh, ts, u)
 		}
@@ -133,13 +110,37 @@ func BenchmarkCandidatesDeduped(b *testing.B) {
 			fanned[slot] = scores[u]
 		}
 	}
+}
+
+// benchOp times op per call and reports ns and pairs per effective pair;
+// every op scores benchTargets effective pairs.
+func benchOp(b *testing.B, op func()) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
 	reportPairMetrics(b, benchTargets)
 }
+
+func BenchmarkCandidatesScalar(b *testing.B) { benchOp(b, scalarOp()) }
+func BenchmarkCandidatesBatched(b *testing.B) {
+	batched, _ := scorerOps()
+	benchOp(b, batched)
+}
+
+func BenchmarkCandidatesObserved(b *testing.B) {
+	_, observed := scorerOps()
+	benchOp(b, observed)
+}
+
+func BenchmarkCandidatesOverlapBatched(b *testing.B) { benchOp(b, overlapOp()) }
+func BenchmarkCandidatesDeduped(b *testing.B)        { benchOp(b, dedupedOp()) }
 
 // BenchmarkPrepareTargets prices the per-image precomputation the batched
 // path amortizes across the scan grid.
 func BenchmarkPrepareTargets(b *testing.B) {
-	m, _, targets := benchFixture(b)
+	m, _, targets := benchFixture()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -157,12 +158,16 @@ func reportPairMetrics(b *testing.B, pairs int) {
 // benchArtifact is the BENCH_static.json schema: the static stage's perf
 // trajectory for future PRs to compare against.
 type benchArtifact struct {
-	Benchmark string           `json:"benchmark"`
-	Targets   int              `json:"targets"`
-	Scalar    benchArtifactRow `json:"scalar"`
-	Batched   benchArtifactRow `json:"batched"`
-	Observed  benchArtifactRow `json:"observed"`
-	Speedup   float64          `json:"speedup"`
+	Benchmark string `json:"benchmark"`
+	Targets   int    `json:"targets"`
+	// Rounds is how many times each compared pair of paths was timed, the
+	// two alternating (see compareRounds). Each row's ns/pair is the path's
+	// fastest round; each ratio below is the median of per-round ratios.
+	Rounds   int              `json:"rounds"`
+	Scalar   benchArtifactRow `json:"scalar"`
+	Batched  benchArtifactRow `json:"batched"`
+	Observed benchArtifactRow `json:"observed"`
+	Speedup  float64          `json:"speedup"`
 	// ObservedOverheadPct is the batched path's ns/pair cost of a live
 	// metrics sink, in percent (negative values are measurement noise).
 	ObservedOverheadPct float64 `json:"observed_overhead_pct"`
@@ -183,42 +188,82 @@ type benchArtifactRow struct {
 	AllocsPerOp int64   `json:"allocs_per_op"`
 }
 
-// TestWriteStaticBenchArtifact measures the scalar and batched candidate
-// paths and writes BENCH_static.json to the path in PATCHECKO_BENCH_OUT.
-// Skipped when the variable is unset, so `go test` stays fast; CI and
-// `make bench-static` opt in.
+// How compareRounds samples: benchRounds timings per path, each repeating
+// the path's op for at least benchSampleTime.
+const (
+	benchRounds     = 101
+	benchSampleTime = time.Millisecond
+)
+
+// compareRounds times ops a and b alternately, benchRounds times each — a
+// then b on even rounds, b then a on odd ones — and returns each op's
+// fastest per-call time and the median over rounds of a's time over b's.
+// The two timings of one round run back to back, so load from another
+// process on a shared machine slows both sides of a round alike, and a
+// burst that slows one side of a few rounds cannot move the median.
+func compareRounds(a, b func()) (fastA, fastB time.Duration, ratio float64) {
+	ops := [2]func(){a, b}
+	var reps [2]int
+	for i, op := range ops {
+		start := time.Now()
+		op()
+		reps[i] = max(1, int(benchSampleTime/max(time.Since(start), 1)))
+	}
+	runtime.GC()
+	var times [2][]time.Duration
+	ratios := make([]float64, benchRounds)
+	for r := range ratios {
+		for k := 0; k < 2; k++ {
+			i := k ^ r%2
+			start := time.Now()
+			for n := 0; n < reps[i]; n++ {
+				ops[i]()
+			}
+			times[i] = append(times[i], time.Since(start)/time.Duration(reps[i]))
+		}
+		ratios[r] = float64(times[0][r]) / float64(times[1][r])
+	}
+	slices.Sort(ratios)
+	return slices.Min(times[0]), slices.Min(times[1]), ratios[len(ratios)/2]
+}
+
+// TestWriteStaticBenchArtifact measures the scalar, batched and dedup
+// candidate paths and writes BENCH_static.json to the path in
+// PATCHECKO_BENCH_OUT. Each gate compares two paths timed alternately over
+// many rounds (compareRounds). Skipped when the variable is unset, so `go
+// test` stays fast; CI and `make bench-static` opt in.
 func TestWriteStaticBenchArtifact(t *testing.T) {
 	out := os.Getenv("PATCHECKO_BENCH_OUT")
 	if out == "" {
 		t.Skip("PATCHECKO_BENCH_OUT not set")
 	}
-	row := func(r testing.BenchmarkResult) benchArtifactRow {
-		ns := float64(r.NsPerOp()) / benchTargets
+	scalar, overlap, deduped := scalarOp(), overlapOp(), dedupedOp()
+	batched, observed := scorerOps()
+	fastScalar, fastBatched, speedup := compareRounds(scalar, batched)
+	fastObserved, fastBatched2, overhead := compareRounds(observed, batched)
+	fastOverlap, fastDeduped, dedupSpeedup := compareRounds(overlap, deduped)
+	row := func(fast time.Duration, op func()) benchArtifactRow {
+		ns := float64(fast.Nanoseconds()) / benchTargets
 		return benchArtifactRow{
 			NsPerPair:   ns,
 			PairsPerSec: 1e9 / ns,
-			AllocsPerOp: r.AllocsPerOp(),
+			AllocsPerOp: int64(testing.AllocsPerRun(3, op)),
 		}
 	}
-	scalar := testing.Benchmark(BenchmarkCandidatesScalar)
-	batched := testing.Benchmark(BenchmarkCandidatesBatched)
-	observed := testing.Benchmark(BenchmarkCandidatesObserved)
-	overlap := testing.Benchmark(BenchmarkCandidatesOverlapBatched)
-	deduped := testing.Benchmark(BenchmarkCandidatesDeduped)
 	art := benchArtifact{
-		Benchmark: "internal/detector Candidates: paper network, symmetrized pairs, small-scale image",
-		Targets:   benchTargets,
-		Scalar:    row(scalar),
-		Batched:   row(batched),
-		Observed:  row(observed),
-		Speedup:   float64(scalar.NsPerOp()) / float64(batched.NsPerOp()),
-		ObservedOverheadPct: 100 * (float64(observed.NsPerOp()) -
-			float64(batched.NsPerOp())) / float64(batched.NsPerOp()),
-		UniqueTargets:  benchOverlapUnique,
-		OverlapBatched: row(overlap),
-		Deduped:        row(deduped),
-		DedupRatio:     float64(benchTargets) / benchOverlapUnique,
-		DedupSpeedup:   float64(overlap.NsPerOp()) / float64(deduped.NsPerOp()),
+		Benchmark:           "internal/detector Candidates: paper network, symmetrized pairs, small-scale image",
+		Targets:             benchTargets,
+		Rounds:              benchRounds,
+		Scalar:              row(fastScalar, scalar),
+		Batched:             row(min(fastBatched, fastBatched2), batched),
+		Observed:            row(fastObserved, observed),
+		Speedup:             speedup,
+		ObservedOverheadPct: 100 * (overhead - 1),
+		UniqueTargets:       benchOverlapUnique,
+		OverlapBatched:      row(fastOverlap, overlap),
+		Deduped:             row(fastDeduped, deduped),
+		DedupRatio:          float64(benchTargets) / benchOverlapUnique,
+		DedupSpeedup:        dedupSpeedup,
 	}
 	raw, err := json.MarshalIndent(art, "", "  ")
 	if err != nil {

@@ -19,6 +19,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 
 	"repro/internal/features"
 	"repro/internal/nn"
@@ -132,12 +133,19 @@ func (n *Normalizer) ApplyInto(dst []float64, v features.Vector) {
 	}
 }
 
-// Model is a trained similarity detector.
+// Model is a trained similarity detector. Its scorers share one nn.Engine,
+// the hidden layers' weights laid out for the batched kernel: Train and
+// Unmarshal build it, and NewScorer does for a Model assembled by hand. So
+// the weights must not change once a Model is trained, unmarshalled or
+// scoring.
 type Model struct {
 	Net  *nn.Network `json:"net"`
 	Norm *Normalizer `json:"norm"`
 	// Threshold is the similarity cut-off used by Candidates.
 	Threshold float64 `json:"threshold"`
+
+	engineOnce sync.Once
+	engine     *nn.Engine
 }
 
 // TrainConfig controls dataset construction and optimization.
@@ -287,7 +295,14 @@ func Train(groups Groups, cfg TrainConfig) (*Model, *nn.History, *Dataset, error
 	// static stage keeps hundreds of candidates per query (600+ of 3000+
 	// functions) and relies on the dynamic stage to prune false positives.
 	m := &Model{Net: net, Norm: ds.Norm, Threshold: 0.25}
+	m.hiddenEngine()
 	return m, hist, ds, nil
+}
+
+// hiddenEngine returns the model's nn.Engine, building it on first use.
+func (m *Model) hiddenEngine() *nn.Engine {
+	m.engineOnce.Do(func() { m.engine = m.Net.NewEngine() })
+	return m.engine
 }
 
 // Similarity scores a pair of raw feature vectors in [0,1]; the score is
@@ -361,5 +376,6 @@ func Unmarshal(b []byte) (*Model, error) {
 	if m.Threshold == 0 {
 		m.Threshold = 0.5
 	}
+	m.hiddenEngine()
 	return m, nil
 }

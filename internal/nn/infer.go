@@ -12,17 +12,35 @@
 // accumulation order for that factored form — each half is accumulated
 // sequentially on its own (the first-position half starting from the bias,
 // the second-position half from zero) and the two partial sums are added —
-// and provide two implementations of it:
+// and every later layer keeps Apply's order: s = B[o], then s += W[o][j]·x[j]
+// for j = 0, 1, 2, …, each product rounded before it is added. There are
+// two implementations of that order:
 //
 //   - HalfApply + InferLogitSplit: the plain reference implementation,
-//     allocating as it goes. This is what Model.Similarity uses.
-//   - HalfApplyInto + Scratch + InferLogitSplitScratch2: the engine
-//     implementation — allocation-free with caller-owned buffers, both
-//     symmetrized pair directions in one pass, inner loops unrolled across
-//     output rows. Unrolling across rows does not touch any single
-//     accumulator's operation sequence, so the two implementations produce
-//     bit-identical results; the batched scan path is byte-for-byte the
-//     scalar path, only faster.
+//     allocating as it goes, on the row-major weights. This is what
+//     Model.Similarity uses.
+//   - HalfApplyInto + Engine + Scratch: the engine implementation —
+//     allocation-free with caller-owned buffers, both symmetrized pair
+//     directions in one pass. The Engine holds a column-major copy of the
+//     hidden layers' weights (wt[j*Out+o]), built once per model, so that
+//     consecutive output rows' weights for one input are adjacent: each
+//     SIMD lane is one output row's accumulator, and a lane runs exactly
+//     the reference's operation sequence for its row. Its kernel has two
+//     bodies over that layout. On amd64 CPUs with AVX2 and OS-enabled YMM
+//     state, an assembly body runs blocks of 16 rows × both directions in
+//     eight YMM accumulators; a pure-Go body runs the remaining rows (the
+//     16→8 and 8→1 layers), other architectures and CPUs without AVX2.
+//     Neither uses a fused multiply-add, which rounds once where the
+//     reference rounds twice; the Go code writes float64(w*x) so that no
+//     compiler fuses it either.
+//
+// Every inference ReLU — InferLogit, InferLogitSplit and the Engine — is
+// max(v, 0), which has no data-dependent branch. It differs from
+// `if v < 0 { v = 0 }` only in the sign of an exact zero (max(-0, 0) is
+// +0), and a zero's sign cannot change a non-zero sum downstream, nor the
+// score: Sigmoid(+0) == Sigmoid(-0). So the two implementations produce
+// bit-identical logits, and the batched scan path is byte-for-byte the
+// scalar path, only faster.
 //
 // Note the split order is NOT bit-identical to InferLogit on the
 // concatenated 96-dim input (the 49th addend lands on a different partial
@@ -44,7 +62,7 @@ func (d *Dense) HalfApply(x []float64, off int, withBias bool) []float64 {
 			s = d.B[o]
 		}
 		for j, xj := range x {
-			s += row[j] * xj
+			s += float64(row[j] * xj)
 		}
 		y[o] = s
 	}
@@ -69,10 +87,10 @@ func (d *Dense) HalfApplyInto(dst, x []float64, off int, withBias bool) {
 			s0, s1, s2, s3 = d.B[o], d.B[o+1], d.B[o+2], d.B[o+3]
 		}
 		for j, xj := range x {
-			s0 += r0[j] * xj
-			s1 += r1[j] * xj
-			s2 += r2[j] * xj
-			s3 += r3[j] * xj
+			s0 += float64(r0[j] * xj)
+			s1 += float64(r1[j] * xj)
+			s2 += float64(r2[j] * xj)
+			s3 += float64(r3[j] * xj)
 		}
 		dst[o], dst[o+1], dst[o+2], dst[o+3] = s0, s1, s2, s3
 	}
@@ -83,46 +101,9 @@ func (d *Dense) HalfApplyInto(dst, x []float64, off int, withBias bool) {
 			s = d.B[o]
 		}
 		for j, xj := range x {
-			s += row[j] * xj
+			s += float64(row[j] * xj)
 		}
 		dst[o] = s
-	}
-}
-
-// ApplyInto2 computes the layer on two independent inputs in one
-// interleaved pass, loading each weight row once for both. Each
-// accumulator (two rows × two inputs) follows the exact sequential order
-// of Apply on its own input, so dstA/dstB are bit-identical to two
-// Apply calls. The symmetrized pair scorer uses this to push both pair
-// orders through the network together.
-func (d *Dense) ApplyInto2(dstA, dstB, xA, xB []float64) {
-	n := len(xA)
-	o := 0
-	for ; o+1 < d.Out; o += 2 {
-		r0 := d.W[o*d.In : o*d.In+n]
-		r1 := d.W[(o+1)*d.In : (o+1)*d.In+n]
-		a0, a1 := d.B[o], d.B[o+1]
-		b0, b1 := a0, a1
-		for j, xj := range xA {
-			w0, w1 := r0[j], r1[j]
-			yj := xB[j]
-			a0 += w0 * xj
-			a1 += w1 * xj
-			b0 += w0 * yj
-			b1 += w1 * yj
-		}
-		dstA[o], dstA[o+1] = a0, a1
-		dstB[o], dstB[o+1] = b0, b1
-	}
-	if o < d.Out {
-		row := d.W[o*d.In : o*d.In+n]
-		sa, sb := d.B[o], d.B[o]
-		for j, xj := range xA {
-			w := row[j]
-			sa += w * xj
-			sb += w * xB[j]
-		}
-		dstA[o], dstB[o] = sa, sb
 	}
 }
 
@@ -156,56 +137,40 @@ func (n *Network) NewScratch() *Scratch {
 func (n *Network) InferLogitSplit(first, second []float64) float64 {
 	h := make([]float64, len(first))
 	for o := range h {
-		v := first[o] + second[o]
-		if v < 0 {
-			v = 0
-		}
-		h[o] = v
+		h[o] = max(first[o]+second[o], 0)
 	}
 	for li := 1; li < len(n.Layers); li++ {
 		h = n.Layers[li].Apply(h)
 		if li == len(n.Layers)-1 {
 			break
 		}
-		for i := range h {
-			if h[i] < 0 {
-				h[i] = 0
-			}
+		for i, v := range h {
+			h[i] = max(v, 0)
 		}
 	}
 	return h[0]
 }
 
-// InferLogitSplitScratch2 runs BOTH symmetrized directions of a pair in
-// one interleaved, allocation-free pass: every weight row is loaded once
-// and applied to both directions' activations (ApplyInto2). Each
-// direction's result is bit-identical to InferLogitSplit on its own
-// halves; this is the scorer's hot path.
-func (n *Network) InferLogitSplitScratch2(s *Scratch, firstA, secondA, firstB, secondB []float64) (float64, float64) {
+// InferLogitSplitScratch2 runs BOTH symmetrized directions of a pair in one
+// allocation-free pass over the Engine's layers: A from (firstA, secondA),
+// B from (firstB, secondB), with the halves as for InferLogitSplit. Each
+// layer's weights are loaded once for both directions. Each direction's
+// result is bit-identical to InferLogitSplit on its own halves; this is
+// the scorer's hot path. s must come from NewScratch on the network the
+// Engine was built from.
+func (e *Engine) InferLogitSplitScratch2(s *Scratch, firstA, secondA, firstB, secondB []float64) (float64, float64) {
 	ha, hb := s.bufs[0], s.bufs2[0]
 	for o := range ha {
-		va := firstA[o] + secondA[o]
-		if va < 0 {
-			va = 0
-		}
-		ha[o] = va
-		vb := firstB[o] + secondB[o]
-		if vb < 0 {
-			vb = 0
-		}
-		hb[o] = vb
+		ha[o] = max(firstA[o]+secondA[o], 0)
+		hb[o] = max(firstB[o]+secondB[o], 0)
 	}
-	for li := 1; li < len(n.Layers); li++ {
-		outA, outB := s.bufs[li], s.bufs2[li]
-		n.Layers[li].ApplyInto2(outA, outB, ha, hb)
-		if li < len(n.Layers)-1 {
+	for li := range e.layers {
+		outA, outB := s.bufs[li+1], s.bufs2[li+1]
+		e.layers[li].apply2(outA, outB, ha, hb)
+		if li < len(e.layers)-1 {
 			for i := range outA {
-				if outA[i] < 0 {
-					outA[i] = 0
-				}
-				if outB[i] < 0 {
-					outB[i] = 0
-				}
+				outA[i] = max(outA[i], 0)
+				outB[i] = max(outB[i], 0)
 			}
 		}
 		ha, hb = outA, outB

@@ -56,7 +56,7 @@ func (d *Dense) Apply(x []float64) []float64 {
 		row := d.W[o*d.In : (o+1)*d.In]
 		s := d.B[o]
 		for i, xi := range x {
-			s += row[i] * xi
+			s += float64(row[i] * xi) // rounded product: never fused, see infer.go
 		}
 		y[o] = s
 	}
@@ -170,10 +170,8 @@ func (n *Network) InferLogit(x []float64) float64 {
 		if li == len(n.Layers)-1 {
 			break
 		}
-		for i := range h {
-			if h[i] < 0 {
-				h[i] = 0
-			}
+		for i, v := range h {
+			h[i] = max(v, 0)
 		}
 	}
 	return h[0]
