@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-static bench-emu fuzz-smoke cover experiments service-smoke lint
+.PHONY: build test race bench-static bench-emu fuzz-smoke cover experiments service-smoke lint
 
 build:
 	$(GO) build ./...
@@ -20,20 +20,17 @@ lint:
 	$(GO) build -o bin/patcheckovet ./cmd/patcheckovet
 	$(GO) vet -vettool=$(CURDIR)/bin/patcheckovet ./...
 
-# Race coverage for the concurrent scan engine and candidate validation:
-# the parallel scan grid, the single-flight reference cache, the worker-pool
-# validator, the context watchdog, the fault-injection registry, the
-# batched static-stage scorer, and the component prefilter's signature
-# derivation (grid workers derive signatures concurrently) all run under
-# the race detector.
+# Race coverage for the concurrent scan engine: its one worker pool
+# (prepare, the parallel scan grid, candidate validation), the
+# single-flight reference cache, the context watchdog, the fault-injection
+# registry, the batched static-stage scorer, and the component prefilter's
+# signature derivation (grid workers derive signatures concurrently) all
+# run under the race detector.
 # The golden equivalence matrix alone is minutes of scanning; under the
 # race detector on one core it overruns go test's default 10m deadline,
 # so give the gate an explicit budget.
 race:
 	$(GO) test -race -timeout 45m ./patchecko/ ./internal/dynamic/ ./internal/emu/ ./internal/faultinject/ ./internal/detector/ ./internal/nn/ ./internal/cas/ ./internal/server/ ./internal/compid/
-
-bench:
-	$(GO) test -bench=. -benchmem
 
 # Measure the static stage's scalar and batched candidate paths and refresh
 # BENCH_static.json (ns/pair, pairs/sec, allocs/op, speedup). Fails if the
@@ -70,10 +67,10 @@ fuzz-smoke:
 # on hardest: the metrics/trace layer itself, the static-stage scorer and
 # the inference layer under it (the reference and engine forward passes),
 # the scan engine, the content-address/delta-store layer, the component
-# prefilter, the dynamic stage with the module's one candidate-validation
-# worker pool, the emulator with the disassembly its predecoded links
-# come from, the differential verdict engine, and the resident scan
-# service. The floor is asserted per package, so a regression in one
+# prefilter, the dynamic stage (candidate validation and ranking, run on
+# the scan engine's worker pool), the emulator with the disassembly its
+# predecoded links come from, the differential verdict engine, and the
+# resident scan service. The floor is asserted per package, so a regression in one
 # cannot hide behind the others. CI runs this.
 COVER_PKGS  = ./internal/obs/ ./internal/detector/ ./internal/nn/ ./patchecko/ ./internal/cas/ ./internal/compid/ ./internal/dynamic/ ./internal/emu/ ./internal/disasm/ ./internal/diffengine/ ./internal/server/
 COVER_FLOOR = 70

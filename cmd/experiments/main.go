@@ -22,39 +22,42 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
 }
 
-func run() (err error) {
+func run(args []string) (err error) {
+	fs := flag.NewFlagSet("experiments", flag.ExitOnError)
 	var (
-		scaleName = flag.String("scale", "medium", "corpus scale: tiny|small|medium|large")
-		seed      = flag.Int64("seed", 42, "seed")
-		workers   = flag.Int("workers", runtime.NumCPU(), "scan worker pool size (results are identical at any count; timing columns vary)")
-		all       = flag.Bool("all", false, "run every experiment")
-		fig7      = flag.Bool("fig7", false, "Fig. 7: static-stage FP rates")
-		fig8      = flag.Bool("fig8", false, "Fig. 8: training curves")
-		table3    = flag.Bool("table3", false, "Table III: dynamic profiles (case study)")
-		table45   = flag.Bool("table45", false, "Tables IV/V: similarity rankings (case study)")
-		table67   = flag.Bool("table67", false, "Tables VI/VII: pipeline accuracy per CVE")
-		table8    = flag.Bool("table8", false, "Table VIII: patch verdicts")
-		ablate    = flag.Bool("ablate", false, "ablations")
-		headline  = flag.Bool("headline", false, "headline metrics")
-		census    = flag.Bool("census", false, "firmware census (§II-A)")
-		charts    = flag.Bool("charts", false, "render Fig. 7/8 as ASCII bar charts too")
+		scaleName = fs.String("scale", "medium", "corpus scale: tiny|small|medium|large")
+		seed      = fs.Int64("seed", 42, "seed")
+		workers   = fs.Int("workers", runtime.NumCPU(), "scan worker pool size (results are identical at any count; timing columns vary)")
+		all       = fs.Bool("all", false, "run every experiment")
+		fig7      = fs.Bool("fig7", false, "Fig. 7: static-stage FP rates")
+		fig8      = fs.Bool("fig8", false, "Fig. 8: training curves")
+		table3    = fs.Bool("table3", false, "Table III: dynamic profiles (case study)")
+		table45   = fs.Bool("table45", false, "Tables IV/V: similarity rankings (case study)")
+		table67   = fs.Bool("table67", false, "Tables VI/VII: pipeline accuracy per CVE")
+		table8    = fs.Bool("table8", false, "Table VIII: patch verdicts")
+		ablate    = fs.Bool("ablate", false, "ablations")
+		headline  = fs.Bool("headline", false, "headline metrics")
+		census    = fs.Bool("census", false, "firmware census (§II-A)")
+		charts    = fs.Bool("charts", false, "render Fig. 7/8 as ASCII bar charts too")
 	)
-	prof := profiling.AddFlags(flag.CommandLine)
-	of := obs.AddFlags(flag.CommandLine)
-	flag.Parse()
+	prof := profiling.AddFlags(fs)
+	of := obs.AddFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if *all {
 		*fig7, *fig8, *table3, *table45, *table67, *table8, *ablate, *headline =
 			true, true, true, true, true, true, true, true
 		*census, *charts = true, true
 	}
 	if !(*fig7 || *fig8 || *table3 || *table45 || *table67 || *table8 || *ablate || *headline || *census) {
-		flag.Usage()
+		fs.Usage()
 		return fmt.Errorf("nothing selected (use -all)")
 	}
 	if *workers < 0 {
@@ -105,7 +108,10 @@ func run() (err error) {
 	// The sink is concurrency-safe, so flushing mid-experiment is sound.
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sigc)
+	defer func() {
+		signal.Stop(sigc)
+		close(sigc)
+	}()
 	go func() {
 		sig, ok := <-sigc
 		if !ok {

@@ -6,7 +6,7 @@
 //
 // The public API lives in the patchecko subpackage; the substrates (source
 // language, compilers, binary format, disassembler, emulator, neural
-// network, fuzzer, corpus generators) live under internal/. bench_test.go
-// in this directory regenerates every table and figure of the paper's
-// evaluation; see DESIGN.md and EXPERIMENTS.md.
+// network, fuzzer, corpus generators) live under internal/. The
+// cmd/experiments command regenerates every table and figure of the
+// paper's evaluation; see DESIGN.md and EXPERIMENTS.md.
 package repro

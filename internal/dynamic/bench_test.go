@@ -17,14 +17,7 @@ func BenchmarkSimilarity(b *testing.B) {
 		return ps
 	}
 	f, g := mk(), mk()
-	b.Run("scaled", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = Similarity(f, g)
-		}
-	})
-	b.Run("raw", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = SimilarityRaw(f, g)
-		}
-	})
+	for i := 0; i < b.N; i++ {
+		_ = Similarity(f, g)
+	}
 }

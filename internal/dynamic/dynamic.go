@@ -26,8 +26,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/disasm"
 	"repro/internal/emu"
@@ -97,26 +95,13 @@ func slog(x float64) float64 {
 // over the K execution environments. Both profile sets must have equal
 // length K. Smaller is more similar; identical traces score exactly 0.
 func Similarity(f, g []Profile) float64 {
-	return similarity(f, g, MinkowskiScaled)
-}
-
-// SimilarityRaw averages the unscaled distance — the paper's literal
-// equation (2). The ablation benchmarks compare it against the scaled form.
-func SimilarityRaw(f, g []Profile) float64 {
-	return similarity(f, g, Minkowski)
-}
-
-func similarity(f, g []Profile, dist func(Profile, Profile, float64) float64) float64 {
-	k := len(f)
-	if len(g) < k {
-		k = len(g)
-	}
+	k := min(len(f), len(g))
 	if k == 0 {
 		return math.Inf(1)
 	}
 	var sum float64
 	for i := 0; i < k; i++ {
-		sum += dist(f[i], g[i], MinkowskiP)
+		sum += MinkowskiScaled(f[i], g[i], MinkowskiP)
 	}
 	return sum / float64(k)
 }
@@ -253,84 +238,29 @@ func completionFrac(ref, cand Profile) float64 {
 	return f
 }
 
-// Validate executes every candidate under every environment. A candidate
-// survives when at least one environment runs to completion; its profiles
-// keep the truncated traces of any trapping environments. Candidates with
-// no completed environment are excluded, and — unlike the paper's silent
-// discard — the exclusion reason is returned per candidate index. This is
-// the fault-tolerant form of the paper's "candidate functions execution
-// validation" step.
+// Validate executes every candidate under every environment, one after
+// the other. A candidate survives when at least one environment runs to
+// completion; its profiles keep the truncated traces of any trapping
+// environments. Candidates with no completed environment are excluded, and
+// — unlike the paper's silent discard — the exclusion reason is returned
+// per candidate index. This is the fault-tolerant form of the paper's
+// "candidate functions execution validation" step, and the every-pair
+// oracle the scan engine's deduplicated validation is tested against.
 func Validate(dis *disasm.Disassembly, cands []*disasm.Function, envs []*minic.Env, ex Exec) ([]int, map[int][]EnvProfile, map[int]error) {
-	return ValidateParallel(nil, dis, cands, envs, ex, 1)
+	results := make([]ProfileOutcome, len(cands))
+	for i, fn := range cands {
+		results[i] = ProfileCandidate(nil, dis, fn, envs, ex)
+	}
+	return Classify(results, ex.Obs)
 }
 
-// ValidateParallel is Validate with a bounded worker pool — the paper's
-// stated future work ("parallelizing the candidate function execution in
-// each environment to further reduce the dynamic analysis processing
-// time"). Results are identical to Validate: candidates are independent
-// and the emulator is deterministic, so only wall-clock changes. A panic
-// while profiling a candidate is recovered and recorded as that candidate's
-// exclusion reason rather than crashing the pool. The context cancels
-// between candidate executions; on cancellation the partial result set is
-// returned and the caller is expected to check ctx.Err and discard it.
-func ValidateParallel(ctx context.Context, dis *disasm.Disassembly, cands []*disasm.Function, envs []*minic.Env, ex Exec, workers int) ([]int, map[int][]EnvProfile, map[int]error) {
-	if ctx == nil {
-		//patchecko:allow ctxflow nil-ctx API tolerance: Background is the documented fallback root
-		ctx = context.Background()
-	}
-	return ValidateWith(ctx, len(cands), workers, func(i int) ProfileOutcome {
-		return ProfileCandidate(ctx, dis, cands[i], envs, ex)
-	}, ex.Obs)
-}
-
-// ValidateWith is the candidate worker pool behind ValidateParallel: it runs
-// profile(i) for every candidate index in [0, n) on at most workers
-// goroutines, then classifies the outcomes exactly as Validate does. The
-// profile function decides how a candidate is profiled — ProfileCandidate
-// directly, or through a cache that shares the work across duplicate
-// candidates — and must convert panics into outcomes, as ProfileCandidate
-// does. Classification and its counters run per candidate index, so a
-// caller that shares profiling work still reports the same validation
-// totals as an unshared run. The context, which must be non-nil, stops the
-// pool between candidates; skipped candidates are neither survivors nor
-// exclusions.
-func ValidateWith(ctx context.Context, n, workers int, profile func(i int) ProfileOutcome, ob *obs.Metrics) ([]int, map[int][]EnvProfile, map[int]error) {
-	if workers > n {
-		workers = n
-	}
-	results := make([]ProfileOutcome, n)
-	if workers <= 1 {
-		for i := range results {
-			if ctx.Err() != nil {
-				break
-			}
-			results[i] = profile(i)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1) - 1)
-					if i >= n || ctx.Err() != nil {
-						return
-					}
-					results[i] = profile(i)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	return classifyOutcomes(results, ob)
-}
-
-// classifyOutcomes reduces per-candidate outcomes into the validation
-// result: errors and fully-trapping candidates are excluded with a reason,
-// the rest survive with their profiles. Counters are recorded per outcome.
-func classifyOutcomes(results []ProfileOutcome, ob *obs.Metrics) ([]int, map[int][]EnvProfile, map[int]error) {
+// Classify reduces per-candidate outcomes, indexed by candidate, into the
+// validation result: errors and fully-trapping candidates are excluded
+// with a reason, the rest survive with their profiles, and outcomes that
+// never ran (cancelled) are neither. Counters are recorded per outcome, so
+// a caller that shares profiling work across duplicate candidates still
+// reports the totals of an unshared run.
+func Classify(results []ProfileOutcome, ob *obs.Metrics) ([]int, map[int][]EnvProfile, map[int]error) {
 	var survivors []int
 	profiles := make(map[int][]EnvProfile)
 	excluded := make(map[int]error)
@@ -372,7 +302,7 @@ type ProfileOutcome struct {
 
 // ProfileCandidate profiles one candidate, converting panics and
 // cancellation into a recorded outcome so one hostile candidate cannot
-// take down the pool.
+// take down the scan.
 func ProfileCandidate(ctx context.Context, dis *disasm.Disassembly, fn *disasm.Function, envs []*minic.Env, ex Exec) (r ProfileOutcome) {
 	defer func() {
 		if rec := recover(); rec != nil {

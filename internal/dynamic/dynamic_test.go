@@ -55,10 +55,7 @@ func TestSimilarityAveragesOverEnvs(t *testing.T) {
 	p1[5] = 10
 	f := []Profile{p0, p0}
 	g := []Profile{p1, p0} // raw distance 10 in env 0, 0 in env 1
-	if got := SimilarityRaw(f, g); math.Abs(got-5) > 1e-12 {
-		t.Errorf("SimilarityRaw = %v, want 5", got)
-	}
-	// The scaled form averages log-space distances the same way.
+	// Log-space distances log1p(10) and 0, averaged over the two envs.
 	want := math.Log1p(10) / 2
 	if got := Similarity(f, g); math.Abs(got-want) > 1e-12 {
 		t.Errorf("Similarity = %v, want %v", got, want)
@@ -66,8 +63,8 @@ func TestSimilarityAveragesOverEnvs(t *testing.T) {
 	if !math.IsInf(Similarity(nil, nil), 1) {
 		t.Error("empty profile sets should be infinitely dissimilar")
 	}
-	// Identical profile sets are perfectly similar under both metrics.
-	if Similarity(f, f) != 0 || SimilarityRaw(f, f) != 0 {
+	// Identical profile sets are perfectly similar.
+	if Similarity(f, f) != 0 {
 		t.Error("self-similarity should be 0")
 	}
 }
@@ -319,49 +316,6 @@ func TestRankFindsTrueMatch(t *testing.T) {
 	}
 }
 
-func TestValidateParallelMatchesSequential(t *testing.T) {
-	mod := minic.GenLibrary(minic.GenConfig{Seed: 71, Name: "libpar", NumFuncs: 24, FragileFrac: 0.4})
-	dis := buildFirmwareLib(t, mod)
-	envs := []*minic.Env{
-		{Args: []int64{minic.DataBase, 32, 5, 2}, Data: make([]byte, 64)},
-		{Args: []int64{minic.DataBase, 16, -3, 9}, Data: []byte("parallel-validation-data")},
-	}
-	seqIdx, seqProf, seqExcl := Validate(dis, dis.Funcs, envs, Exec{})
-	for _, workers := range []int{2, 4, 100} {
-		parIdx, parProf, parExcl := ValidateParallel(context.Background(), dis, dis.Funcs, envs, Exec{}, workers)
-		if len(parIdx) != len(seqIdx) {
-			t.Fatalf("workers=%d: %d survivors vs sequential %d", workers, len(parIdx), len(seqIdx))
-		}
-		for i := range seqIdx {
-			if parIdx[i] != seqIdx[i] {
-				t.Fatalf("workers=%d: survivor order differs at %d", workers, i)
-			}
-			for e := range seqProf[seqIdx[i]] {
-				if !sameEnvProfile(parProf[parIdx[i]][e], seqProf[seqIdx[i]][e]) {
-					t.Fatalf("workers=%d: profiles differ for candidate %d", workers, seqIdx[i])
-				}
-			}
-		}
-		if len(parExcl) != len(seqExcl) {
-			t.Fatalf("workers=%d: %d exclusions vs sequential %d", workers, len(parExcl), len(seqExcl))
-		}
-		for idx, reason := range seqExcl {
-			pr, ok := parExcl[idx]
-			if !ok || pr.Error() != reason.Error() {
-				t.Fatalf("workers=%d: exclusion reason differs for %d: %v vs %v", workers, idx, pr, reason)
-			}
-		}
-	}
-	// Degenerate worker counts fall back to sequential.
-	if idx, _, _ := ValidateParallel(context.Background(), dis, dis.Funcs, envs, Exec{}, 0); len(idx) != len(seqIdx) {
-		t.Error("workers=0 should behave like Validate")
-	}
-	// A nil context behaves like context.Background.
-	if idx, _, _ := ValidateParallel(nil, dis, dis.Funcs, envs, Exec{}, 4); len(idx) != len(seqIdx) {
-		t.Error("nil context should behave like Background")
-	}
-}
-
 // sameEnvProfile compares env profiles by value: identical feature vectors
 // and the same trap kind (trap pointers differ across runs).
 func sameEnvProfile(a, b EnvProfile) bool {
@@ -374,28 +328,71 @@ func sameEnvProfile(a, b EnvProfile) bool {
 	return a.Trap == nil || a.Trap.Kind == b.Trap.Kind
 }
 
-func TestValidateParallelPanicRecovery(t *testing.T) {
+// TestClassifyMatchesValidate pins Classify as Validate's reduction: the
+// outcomes of ProfileCandidate, gathered in any order and classified, give
+// Validate's survivors, profiles and exclusion reasons.
+func TestClassifyMatchesValidate(t *testing.T) {
+	mod := minic.GenLibrary(minic.GenConfig{Seed: 71, Name: "libpar", NumFuncs: 24, FragileFrac: 0.4})
+	dis := buildFirmwareLib(t, mod)
+	envs := []*minic.Env{
+		{Args: []int64{minic.DataBase, 32, 5, 2}, Data: make([]byte, 64)},
+		{Args: []int64{minic.DataBase, 16, -3, 9}, Data: []byte("parallel-validation-data")},
+	}
+	seqIdx, seqProf, seqExcl := Validate(dis, dis.Funcs, envs, Exec{})
+	if len(seqIdx) == 0 || len(seqExcl) == 0 {
+		t.Fatalf("fixture needs survivors and exclusions, got %d and %d", len(seqIdx), len(seqExcl))
+	}
+	results := make([]ProfileOutcome, len(dis.Funcs))
+	for i := len(results) - 1; i >= 0; i-- {
+		results[i] = ProfileCandidate(context.Background(), dis, dis.Funcs[i], envs, Exec{})
+	}
+	idx, prof, excl := Classify(results, nil)
+	if len(idx) != len(seqIdx) {
+		t.Fatalf("%d survivors vs Validate's %d", len(idx), len(seqIdx))
+	}
+	for i := range seqIdx {
+		if idx[i] != seqIdx[i] {
+			t.Fatalf("survivor order differs at %d", i)
+		}
+		for e := range seqProf[seqIdx[i]] {
+			if !sameEnvProfile(prof[idx[i]][e], seqProf[seqIdx[i]][e]) {
+				t.Fatalf("profiles differ for candidate %d", seqIdx[i])
+			}
+		}
+	}
+	if len(excl) != len(seqExcl) {
+		t.Fatalf("%d exclusions vs Validate's %d", len(excl), len(seqExcl))
+	}
+	for i, reason := range seqExcl {
+		if got, ok := excl[i]; !ok || got.Error() != reason.Error() {
+			t.Fatalf("exclusion reason differs for %d: %v vs %v", i, got, reason)
+		}
+	}
+}
+
+// TestValidatePanicRecovery: a candidate that panics the emulator is
+// recorded as that candidate's exclusion; the others still validate.
+func TestValidatePanicRecovery(t *testing.T) {
 	mod := &minic.Module{Name: "t", Funcs: []*minic.Func{
 		minic.NewFunc("ok", []string{"p", "n"}, minic.Ret(minic.V("n"))),
 	}}
 	dis := buildFirmwareLib(t, mod)
 	envs := []*minic.Env{{Args: []int64{minic.DataBase, 4, 0, 0}, Data: []byte("abcd")}}
-	// A nil candidate makes the emulator panic; the pool must survive and
-	// record the panic as that candidate's exclusion reason.
+	// A nil candidate makes the emulator panic.
 	cands := []*disasm.Function{dis.Funcs[0], nil}
-	for _, workers := range []int{1, 4} {
-		survivors, _, excluded := ValidateParallel(context.Background(), dis, cands, envs, Exec{}, workers)
-		if len(survivors) != 1 || survivors[0] != 0 {
-			t.Fatalf("workers=%d: survivors = %v, want [0]", workers, survivors)
-		}
-		reason := excluded[1]
-		if reason == nil || !strings.Contains(reason.Error(), "panic") {
-			t.Errorf("workers=%d: panic not recorded as exclusion: %v", workers, reason)
-		}
+	survivors, _, excluded := Validate(dis, cands, envs, Exec{})
+	if len(survivors) != 1 || survivors[0] != 0 {
+		t.Fatalf("survivors = %v, want [0]", survivors)
+	}
+	reason := excluded[1]
+	if reason == nil || !strings.Contains(reason.Error(), "panic") {
+		t.Errorf("panic not recorded as exclusion: %v", reason)
 	}
 }
 
-func TestValidateParallelCancelled(t *testing.T) {
+// TestClassifyCancelledRecordsNothing: candidates a cancelled context cut
+// short are neither survivors nor exclusions.
+func TestClassifyCancelledRecordsNothing(t *testing.T) {
 	mod := minic.GenLibrary(minic.GenConfig{Seed: 71, Name: "libpar", NumFuncs: 24, FragileFrac: 0.4})
 	dis := buildFirmwareLib(t, mod)
 	envs := []*minic.Env{
@@ -403,14 +400,18 @@ func TestValidateParallelCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, workers := range []int{1, 4} {
-		idx, prof, excl := ValidateParallel(ctx, dis, dis.Funcs, envs, Exec{}, workers)
-		if len(idx) != 0 || len(prof) != 0 {
-			t.Errorf("workers=%d: cancelled validation still profiled %d candidates", workers, len(idx))
+	results := make([]ProfileOutcome, len(dis.Funcs))
+	for i, fn := range dis.Funcs {
+		if results[i] = ProfileCandidate(ctx, dis, fn, envs, Exec{}); results[i].Ran {
+			t.Fatalf("candidate %d ran under a cancelled context", i)
 		}
-		if len(excl) != 0 {
-			t.Errorf("workers=%d: cancellation recorded as exclusions: %v", workers, excl)
-		}
+	}
+	idx, prof, excl := Classify(results, nil)
+	if len(idx) != 0 || len(prof) != 0 {
+		t.Errorf("cancelled validation still profiled %d candidates", len(idx))
+	}
+	if len(excl) != 0 {
+		t.Errorf("cancellation recorded as exclusions: %v", excl)
 	}
 }
 

@@ -519,25 +519,24 @@ var machines = sync.Pool{New: func() any { return new(Machine) }}
 // data buffer is copied into the machine's own memory, so one environment
 // may drive any number of executions, concurrent ones included.
 func Execute(dis *disasm.Disassembly, fn *disasm.Function, env *minic.Env, limit int64) (*Result, error) {
-	return ExecuteCtx(nil, dis, fn, env, limit)
+	return ExecuteObserved(nil, dis, fn, env, limit, nil)
 }
 
-// ExecuteCtx is Execute with a watchdog context. The context's deadline is
-// the execution's wall-clock budget, checked every watchdogStride
-// instructions alongside the step limit: an expired deadline surfaces as a
-// minic.TrapBudget trap (an abnormal execution of this one function), while
-// plain cancellation returns the context's error verbatim (the whole scan
-// is being torn down, not this function misbehaving). A nil or
-// context.Background context disables both checks at zero per-step cost.
-func ExecuteCtx(ctx context.Context, dis *disasm.Disassembly, fn *disasm.Function, env *minic.Env, limit int64) (*Result, error) {
-	return ExecuteObserved(ctx, dis, fn, env, limit, nil)
-}
-
-// ExecuteObserved is ExecuteCtx reporting into an observability sink:
-// executions started, instructions executed, and traps by kind. A nil sink
-// is the no-op default — the run itself is identical either way, and the
-// accounting is a handful of atomic adds per execution, off the per-step
-// hot loop.
+// ExecuteObserved is Execute with a watchdog context, reporting into an
+// observability sink.
+//
+// The context's deadline is the execution's wall-clock budget, checked
+// every watchdogStride instructions alongside the step limit: an expired
+// deadline surfaces as a minic.TrapBudget trap (an abnormal execution of
+// this one function), while plain cancellation returns the context's error
+// verbatim (the whole scan is being torn down, not this function
+// misbehaving). A nil or context.Background context disables both checks
+// at zero per-step cost.
+//
+// The sink counts executions started, instructions executed, and traps by
+// kind. A nil sink is the no-op default — the run itself is identical
+// either way, and the accounting is a handful of atomic adds per
+// execution, off the per-step hot loop.
 func ExecuteObserved(ctx context.Context, dis *disasm.Disassembly, fn *disasm.Function, env *minic.Env, limit int64, o *obs.Metrics) (*Result, error) {
 	m := machines.Get().(*Machine)
 	// On a trap the result is partial: the trace up to the fault is the
@@ -1043,5 +1042,5 @@ func ExecuteByName(dis *disasm.Disassembly, name string, env *minic.Env, limit i
 	if !ok {
 		return nil, fmt.Errorf("emu: no function %q in %s", name, dis.Image.LibName)
 	}
-	return ExecuteCtx(nil, dis, fn, env, limit)
+	return Execute(dis, fn, env, limit)
 }

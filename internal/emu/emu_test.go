@@ -151,7 +151,7 @@ func TestStackDepthStatsOnEveryExit(t *testing.T) {
 					injected := &minic.TrapError{Kind: minic.TrapDecode, Msg: "injected"}
 					defer faultinject.Arm(faultinject.ExecTrap, dis.Image.LibName+":"+fn.Name, injected)()
 				}
-				res, err := ExecuteCtx(c.ctx, dis, fn, env, c.limit)
+				res, err := ExecuteObserved(c.ctx, dis, fn, env, c.limit, nil)
 				switch {
 				case c.trap != 0:
 					wantTrap(t, err, c.trap)

@@ -152,7 +152,7 @@ func TestTrapBudgetWatchdog(t *testing.T) {
 	// trace — the execution failed, not the scan.
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	res, err := ExecuteCtx(ctx, dis, fn, &minic.Env{}, 0)
+	res, err := ExecuteObserved(ctx, dis, fn, &minic.Env{}, 0, nil)
 	tr := wantTrap(t, err, minic.TrapBudget, "wall-clock budget exceeded", "instructions")
 	if tr.Msg == "" {
 		t.Error("budget trap should say how far execution got")
@@ -165,7 +165,7 @@ func TestTrapBudgetWatchdog(t *testing.T) {
 	// context's own error comes back verbatim.
 	cctx, ccancel := context.WithCancel(context.Background())
 	ccancel()
-	_, err = ExecuteCtx(cctx, dis, fn, &minic.Env{}, 0)
+	_, err = ExecuteObserved(cctx, dis, fn, &minic.Env{}, 0, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled execution returned %v, want context.Canceled", err)
 	}
@@ -175,7 +175,7 @@ func TestTrapBudgetWatchdog(t *testing.T) {
 
 	// Background/nil contexts disable the watchdog entirely: the run
 	// completes against the step limit only.
-	if _, err := ExecuteCtx(context.Background(), dis, fn, &minic.Env{}, 100); err == nil {
+	if _, err := ExecuteObserved(context.Background(), dis, fn, &minic.Env{}, 100, nil); err == nil {
 		t.Error("expected step-limit trap")
 	} else {
 		wantTrap(t, err, minic.TrapStepLimit)

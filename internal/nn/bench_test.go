@@ -11,9 +11,10 @@ func BenchmarkForward(b *testing.B) {
 	for i := range x {
 		x[i] = float64(i) / 96
 	}
+	n.beginTraining()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = n.Logit(x)
+		_ = n.forward(x)
 	}
 }
 
@@ -27,12 +28,13 @@ func BenchmarkTrainStep(b *testing.B) {
 		}
 		samples[i] = Sample{X: x, Y: float64(i % 2)}
 	}
+	n.beginTraining()
 	opt := NewAdam(1e-3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n.zeroGrads()
 		for _, s := range samples {
-			logit := n.Logit(s.X)
+			logit := n.forward(s.X)
 			_, grad := BCEWithLogit(logit, s.Y)
 			n.backward(grad)
 		}

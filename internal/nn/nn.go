@@ -20,7 +20,8 @@ type Dense struct {
 	W       []float64 // Out x In, row-major
 	B       []float64
 
-	// training state
+	// Training state, allocated by Train and dropped when it returns: the
+	// last Forward input and the accumulated parameter gradients.
 	lastX []float64
 	dW    []float64
 	dB    []float64
@@ -30,10 +31,8 @@ type Dense struct {
 func NewDense(in, out int, rng *rand.Rand) *Dense {
 	d := &Dense{
 		In: in, Out: out,
-		W:  make([]float64, in*out),
-		B:  make([]float64, out),
-		dW: make([]float64, in*out),
-		dB: make([]float64, out),
+		W: make([]float64, in*out),
+		B: make([]float64, out),
 	}
 	limit := math.Sqrt(6.0 / float64(in))
 	for i := range d.W {
@@ -97,7 +96,7 @@ func (d *Dense) zeroGrads() {
 type Network struct {
 	Layers []*Dense
 
-	// relu masks per layer boundary, for backprop
+	// ReLU masks per layer boundary, for backprop; nil outside Train.
 	masks [][]bool
 }
 
@@ -116,7 +115,6 @@ func NewNetwork(widths []int, seed int64) (*Network, error) {
 	for i := 0; i+1 < len(widths); i++ {
 		n.Layers = append(n.Layers, NewDense(widths[i], widths[i+1], rng))
 	}
-	n.masks = make([][]bool, len(n.Layers))
 	return n, nil
 }
 
@@ -133,8 +131,10 @@ func NewPaperNetwork(seed int64) *Network {
 // InputDim returns the expected input width.
 func (n *Network) InputDim() int { return n.Layers[0].In }
 
-// Logit runs a forward pass and returns the raw output logit.
-func (n *Network) Logit(x []float64) float64 {
+// forward runs a training forward pass and returns the raw output logit,
+// recording each layer's input and ReLU mask for backward. Only Train's
+// state (see beginTraining) has room for them.
+func (n *Network) forward(x []float64) float64 {
 	h := x
 	for li, l := range n.Layers {
 		h = l.Forward(h)
@@ -156,13 +156,13 @@ func (n *Network) Logit(x []float64) float64 {
 
 // Predict returns the probability that x is a positive pair.
 func (n *Network) Predict(x []float64) float64 {
-	return Sigmoid(n.Logit(x))
+	return Sigmoid(n.InferLogit(x))
 }
 
-// InferLogit is Logit without the backprop bookkeeping (saved layer inputs
-// and ReLU masks): a pure read of the weights, safe to call from many
-// goroutines at once. Inference paths that may run concurrently — the scan
-// engine's static stage in particular — must use this instead of Logit.
+// InferLogit runs a forward pass and returns the raw output logit. Unlike
+// the training pass it records nothing (no saved layer inputs, no ReLU
+// masks): it is a pure read of the weights, safe to call from many
+// goroutines at once.
 func (n *Network) InferLogit(x []float64) float64 {
 	h := x
 	for li, l := range n.Layers {
@@ -178,7 +178,7 @@ func (n *Network) InferLogit(x []float64) float64 {
 }
 
 // backward runs backprop from a single logit gradient, accumulating layer
-// gradients (call after Logit on the same input).
+// gradients (call after forward on the same input).
 func (n *Network) backward(dlogit float64) {
 	grad := []float64{dlogit}
 	for li := len(n.Layers) - 1; li >= 0; li-- {
@@ -198,6 +198,25 @@ func (n *Network) zeroGrads() {
 	for _, l := range n.Layers {
 		l.zeroGrads()
 	}
+}
+
+// beginTraining allocates the backprop state: zeroed parameter gradients
+// per layer and a slot for each layer boundary's ReLU mask.
+func (n *Network) beginTraining() {
+	for _, l := range n.Layers {
+		l.dW = make([]float64, len(l.W))
+		l.dB = make([]float64, len(l.B))
+	}
+	n.masks = make([][]bool, len(n.Layers))
+}
+
+// endTraining drops the backprop state, so a trained network keeps only its
+// weights.
+func (n *Network) endTraining() {
+	for _, l := range n.Layers {
+		l.lastX, l.dW, l.dB = nil, nil, nil
+	}
+	n.masks = nil
 }
 
 // NumParams returns the total trainable parameter count.

@@ -59,8 +59,8 @@ func TestGradientCheck(t *testing.T) {
 	}
 	x := []float64{0.3, -1.2, 0.8}
 	y := 1.0
-	n.zeroGrads()
-	logit := n.Logit(x)
+	n.beginTraining()
+	logit := n.forward(x)
 	_, grad := BCEWithLogit(logit, y)
 	n.backward(grad)
 
@@ -69,9 +69,9 @@ func TestGradientCheck(t *testing.T) {
 		for wi := range l.W {
 			orig := l.W[wi]
 			l.W[wi] = orig + eps
-			lp, _ := BCEWithLogit(n.Logit(x), y)
+			lp, _ := BCEWithLogit(n.InferLogit(x), y)
 			l.W[wi] = orig - eps
-			lm, _ := BCEWithLogit(n.Logit(x), y)
+			lm, _ := BCEWithLogit(n.InferLogit(x), y)
 			l.W[wi] = orig
 			numeric := (lp - lm) / (2 * eps)
 			if math.Abs(numeric-l.dW[wi]) > 1e-4 {
@@ -81,9 +81,9 @@ func TestGradientCheck(t *testing.T) {
 		for bi := range l.B {
 			orig := l.B[bi]
 			l.B[bi] = orig + eps
-			lp, _ := BCEWithLogit(n.Logit(x), y)
+			lp, _ := BCEWithLogit(n.InferLogit(x), y)
 			l.B[bi] = orig - eps
-			lm, _ := BCEWithLogit(n.Logit(x), y)
+			lm, _ := BCEWithLogit(n.InferLogit(x), y)
 			l.B[bi] = orig
 			numeric := (lp - lm) / (2 * eps)
 			if math.Abs(numeric-l.dB[bi]) > 1e-4 {
@@ -182,6 +182,34 @@ func TestSerializeRoundtrip(t *testing.T) {
 	}
 	if got := restored.Predict(x); math.Abs(got-want) > 1e-15 {
 		t.Errorf("prediction changed after roundtrip: %v vs %v", got, want)
+	}
+}
+
+// TestTrainingStateDropped pins that only Train holds backprop state: a
+// restored network and a trained one keep their weights and nothing else.
+func TestTrainingStateDropped(t *testing.T) {
+	trained, _ := NewNetwork([]int{2, 8, 1}, 11)
+	if _, err := Train(trained, xorSamples(200, 4), xorSamples(50, 5), TrainConfig{Epochs: 2, BatchSize: 32, Seed: 5}); err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(trained)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var restored Network
+	if err := json.Unmarshal(b, &restored); err != nil {
+		t.Fatal(err)
+	}
+	for name, n := range map[string]*Network{"trained": trained, "restored": &restored} {
+		if n.masks != nil {
+			t.Errorf("%s: ReLU masks kept", name)
+		}
+		for li, l := range n.Layers {
+			if l.dW != nil || l.dB != nil || l.lastX != nil {
+				t.Errorf("%s: layer %d keeps training buffers (dW %d, dB %d, lastX %d)",
+					name, li, len(l.dW), len(l.dB), len(l.lastX))
+			}
+		}
 	}
 }
 

@@ -109,6 +109,8 @@ func Train(n *Network, train, val []Sample, cfg TrainConfig) (*History, error) {
 			return nil, fmt.Errorf("nn: sample dim %d, network expects %d", len(s.X), n.InputDim())
 		}
 	}
+	n.beginTraining()
+	defer n.endTraining()
 	opt := NewAdam(cfg.LR)
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	idx := make([]int, len(train))
@@ -128,7 +130,7 @@ func Train(n *Network, train, val []Sample, cfg TrainConfig) (*History, error) {
 			n.zeroGrads()
 			for _, i := range idx[start:end] {
 				s := train[i]
-				logit := n.Logit(s.X)
+				logit := n.forward(s.X)
 				loss, grad := BCEWithLogit(logit, s.Y)
 				lossSum += loss
 				if (logit > 0) == (s.Y > 0.5) {
@@ -164,7 +166,7 @@ func Evaluate(n *Network, samples []Sample) (loss, acc float64) {
 	var lossSum float64
 	var correct int
 	for _, s := range samples {
-		logit := n.Logit(s.X)
+		logit := n.InferLogit(s.X)
 		l, _ := BCEWithLogit(logit, s.Y)
 		lossSum += l
 		if (logit > 0) == (s.Y > 0.5) {

@@ -175,12 +175,13 @@ func (a *Analyzer) sharedScore(t *dedupTable, cve string, k scoreKey, i int, com
 }
 
 // dedupValidate is the dynamic stage's validation step with per-unique-body
-// profiling: the candidates run on dynamic.ValidateWith's worker pool, but
-// each candidate's profiling is single-flighted by content address in the
-// CVE's dedup table, so a body duplicated across cells, images and — on a
-// shared cache — jobs executes once per (CVE, step limit). Classification
-// and its counters stay per occurrence. rows[i] is candidate i's dedup row,
-// which the ranking and the verdict read next.
+// profiling: the candidates run on a forEach pool of workers (<= 1 runs
+// them inline, in order), but each candidate's profiling is single-flighted
+// by content address in the CVE's dedup table, so a body duplicated across
+// cells, images and — on a shared cache — jobs executes once per (CVE,
+// step limit). dynamic.Classify then reduces the outcomes per occurrence,
+// counters included. rows[i] is candidate i's dedup row, which the ranking
+// and the verdict read next.
 func (a *Analyzer) dedupValidate(ctx context.Context, p *PreparedImage, entry *vulndb.Entry,
 	cands []detector.Candidate, candFuncs []*disasm.Function, envs []*minic.Env, workers int) (
 	survivors []int, profiles map[int][]dynamic.EnvProfile, excluded map[int]error, rows []*dynEntry) {
@@ -189,9 +190,11 @@ func (a *Analyzer) dedupValidate(ctx context.Context, p *PreparedImage, entry *v
 	for i, c := range cands {
 		rows[i] = t.validation(p.CAS[c.Index])
 	}
-	survivors, profiles, excluded = dynamic.ValidateWith(ctx, len(cands), workers, func(i int) dynamic.ProfileOutcome {
-		return a.sharedProfile(ctx, p.Dis, candFuncs[i], rows[i], envs)
-	}, a.Obs)
+	results := make([]dynamic.ProfileOutcome, len(cands))
+	forEach(ctx, len(cands), max(workers, 1), func(_, i int) {
+		results[i] = a.sharedProfile(ctx, p.Dis, candFuncs[i], rows[i], envs)
+	})
+	survivors, profiles, excluded = dynamic.Classify(results, a.Obs)
 	return survivors, profiles, excluded, rows
 }
 

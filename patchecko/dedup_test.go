@@ -224,7 +224,7 @@ func TestDeltaScanStore(t *testing.T) {
 // TestScanImageScalarMatchesBatched pins the batched static stage and the
 // deduplicated validation against the every-pair reference implementations
 // on the golden seed-42 fixture: every cell the prefilter keeps must equal
-// the scalar Model.Candidates plus dynamic.ValidateParallel oracle.
+// the scalar Model.Candidates plus dynamic.Validate oracle.
 func TestScanImageScalarMatchesBatched(t *testing.T) {
 	model, db, fw := goldenFixtures(t)
 	scanCellsAgainstOracle(t, model, db, fw)
@@ -509,7 +509,7 @@ func checkOracle(t *testing.T, label string, an *Analyzer, p *PreparedImage, got
 
 // everyPairScan is the oracle for one cell under an's model, database and
 // step limit: the scalar static stage (Model.Candidates on the raw vectors),
-// every candidate validated independently (dynamic.ValidateParallel), and
+// every candidate validated independently (dynamic.Validate), and
 // the survivors ranked (dynamic.Rank with SimilarityEnv) against a freshly
 // profiled reference, reported in the CVEScan fields ScanImage fills from
 // them.
@@ -536,7 +536,7 @@ func everyPairScan(t *testing.T, an *Analyzer, p *PreparedImage, cveID string, m
 	ctx := context.Background()
 	envs := entry.Environments()
 	ex := dynamic.Exec{Steps: an.StepLimit}
-	survivors, profiles, excluded := dynamic.ValidateParallel(ctx, p.Dis, candFuncs, envs, ex, 1)
+	survivors, profiles, excluded := dynamic.Validate(p.Dis, candFuncs, envs, ex)
 	out.scan.NumExecuted = len(survivors)
 	if len(excluded) > 0 {
 		out.scan.Excluded = make(map[uint64]string, len(excluded))

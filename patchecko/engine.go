@@ -395,7 +395,7 @@ func PrepareImages(ctx context.Context, images []*binimg.Image, workers int) ([]
 // the first one's result.
 func prepareAll(ctx context.Context, images []*binimg.Image, workers int) ([]*PreparedImage, []error) {
 	digests := make([][sha256.Size]byte, len(images))
-	forEach(ctx, len(images), workers, func(i int) { digests[i] = binimg.Digest(images[i]) })
+	forEach(ctx, len(images), workers, func(_, i int) { digests[i] = binimg.Digest(images[i]) })
 	first := make(map[[sha256.Size]byte]int, len(images))
 	var distinct []int
 	for i, d := range digests {
@@ -406,7 +406,7 @@ func prepareAll(ctx context.Context, images []*binimg.Image, workers int) ([]*Pr
 	}
 	prepared := make([]*PreparedImage, len(images))
 	errs := make([]error, len(images))
-	forEach(ctx, len(distinct), workers, func(k int) {
+	forEach(ctx, len(distinct), workers, func(_, k int) {
 		i := distinct[k]
 		prepared[i], errs[i] = prepareOne(images[i], digests[i])
 	})
@@ -418,14 +418,20 @@ func prepareAll(ctx context.Context, images []*binimg.Image, workers int) ([]*Pr
 	return prepared, errs
 }
 
-// forEach calls fn(i) for every i in [0, n) on a pool of workers goroutines
-// (workers <= 0 means runtime.NumCPU), stopping early once ctx ends.
-func forEach(ctx context.Context, n, workers int, fn func(i int)) {
+// forEach calls fn(w, i) for every i in [0, n) on a pool of workers
+// goroutines (workers <= 0 means runtime.NumCPU), stopping early once ctx
+// ends. It is the module's one worker pool. w in [0, workers) names the
+// worker making the call, so callers can keep per-worker state without
+// locking; a pool of one runs inline on the calling goroutine.
+func forEach(ctx context.Context, n, workers int, fn func(w, i int)) {
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
-	if workers > n {
-		workers = n
+	if workers = min(workers, n); workers <= 1 {
+		for i := 0; i < n && ctx.Err() == nil; i++ {
+			fn(0, i)
+		}
+		return
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -438,7 +444,7 @@ func forEach(ctx context.Context, n, workers int, fn func(i int)) {
 				if i >= n || ctx.Err() != nil {
 					return
 				}
-				fn(i)
+				fn(w, i)
 			}
 		}()
 	}
@@ -563,12 +569,7 @@ func (a *Analyzer) ScanFirmware(ctx context.Context, fw *Firmware) (*Report, err
 	// which the reduction below relies on.
 	modes := [2]QueryMode{QueryVulnerable, QueryPatched}
 	nTasks := len(ids) * len(prepared)
-	if workers > nTasks {
-		workers = nTasks
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers = max(min(workers, nTasks), 1)
 	// Candidate validation inside each grid cell stays sequential when the
 	// grid itself is parallel: the outer pool already saturates the cores,
 	// and nesting pools would only add scheduling overhead.
@@ -586,49 +587,33 @@ func (a *Analyzer) ScanFirmware(ctx context.Context, fw *Firmware) (*Report, err
 	// reduction counts them and runs them after all if their row answers
 	// nothing.
 	pruned := make([]bool, nTasks)
-	var (
-		next atomic.Int64
-		ran  atomic.Int64
-		wg   sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// One batched scoring context per worker: scratch buffers and
-			// the candidate buffer are reused across every cell the worker
-			// runs, so steady-state static scoring never allocates.
-			sc := a.newScorer()
-			for {
-				t := int(next.Add(1) - 1)
-				if t >= nTasks || ctx.Err() != nil {
-					return
-				}
-				p, id := prepared[t%len(prepared)], ids[t/len(prepared)]
-				if p == nil {
-					continue // image failed prepare; recorded already
-				}
-				if a.Prefilter && !a.PrefilterKeep(p, id) {
-					pruned[t] = true
-					continue
-				}
-				for mi, mode := range modes {
-					i := t*len(modes) + mi
-					scan, err := a.runCell(ctx, p, id, mode, validateWorkers, sc)
-					if err != nil {
-						if ctx.Err() != nil {
-							return
-						}
-						errs[i] = err
-						continue
-					}
-					scans[i] = scan
-					ran.Add(1)
-				}
-			}
-		}()
+	// One batched scoring context per worker: scratch buffers and the
+	// candidate buffer are reused across every cell the worker runs, so
+	// steady-state static scoring never allocates.
+	scorers := make([]*detector.Scorer, workers)
+	scorer := func(w int) *detector.Scorer {
+		if scorers[w] == nil {
+			scorers[w] = a.newScorer()
+		}
+		return scorers[w]
 	}
-	wg.Wait()
+	forEach(ctx, nTasks, workers, func(w, t int) {
+		p, id := prepared[t%len(prepared)], ids[t/len(prepared)]
+		if p == nil {
+			return // image failed prepare; recorded already
+		}
+		if a.Prefilter && !a.PrefilterKeep(p, id) {
+			pruned[t] = true
+			return
+		}
+		for mi, mode := range modes {
+			i := t*len(modes) + mi
+			scans[i], errs[i] = a.runCell(ctx, p, id, mode, validateWorkers, scorer(w))
+			if ctx.Err() != nil {
+				return
+			}
+		}
+	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -645,7 +630,6 @@ func (a *Analyzer) ScanFirmware(ctx context.Context, fw *Firmware) (*Report, err
 	}
 	stats := ScanStats{ImagesFailed: len(prepErrs)}
 	seen := make(map[ScanError]bool)
-	var rescueSc *detector.Scorer
 	for ci, id := range ids {
 		var best *CVEScan
 		foldCell := func(pi, mi int) {
@@ -665,6 +649,7 @@ func (a *Analyzer) ScanFirmware(ctx context.Context, fw *Firmware) (*Report, err
 			if scan == nil {
 				return
 			}
+			stats.ScansRun++
 			stats.CandidatesExcluded += len(scan.Excluded)
 			stats.PartialSurvivors += scan.NumPartial
 			a.Obs.Add(obs.CtrCellsCompleted, 1)
@@ -697,25 +682,17 @@ func (a *Analyzer) ScanFirmware(ctx context.Context, fw *Firmware) (*Report, err
 			// A pruned cell never holds the CVE's host, but it may hold a
 			// lookalike the full grid would have matched, and a report
 			// answer must never depend on the prefilter, so run the pruned
-			// cells now, sequentially, and fold them in grid order.
+			// cells now, sequentially on worker 0's scorer (the pool has
+			// finished), and fold them in grid order.
 			for pi := range prepared {
 				if !pruned[ci*len(prepared)+pi] {
 					continue
 				}
 				for mi, mode := range modes {
 					i := (ci*len(prepared)+pi)*len(modes) + mi
-					if rescueSc == nil {
-						rescueSc = a.newScorer()
-					}
-					scan, err := a.runCell(ctx, prepared[pi], id, mode, validateWorkers, rescueSc)
-					if err != nil {
-						if cerr := ctx.Err(); cerr != nil {
-							return nil, cerr
-						}
-						errs[i] = err
-					} else {
-						scans[i] = scan
-						ran.Add(1)
+					scans[i], errs[i] = a.runCell(ctx, prepared[pi], id, mode, validateWorkers, scorer(0))
+					if err := ctx.Err(); err != nil {
+						return nil, err
 					}
 					foldCell(pi, mi)
 				}
@@ -747,7 +724,6 @@ func (a *Analyzer) ScanFirmware(ctx context.Context, fw *Firmware) (*Report, err
 	stats.Workers = workers
 	stats.Images = len(prepared)
 	stats.CVEs = len(ids)
-	stats.ScansRun = int(ran.Load())
 	stats.CacheHits = hits1 - hits0
 	stats.CacheMisses = misses1 - misses0
 	stats.PrepareWall = prepWall

@@ -10,6 +10,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/detector"
 )
 
 // normalizeReport zeroes the fields that legitimately vary across runs so
@@ -67,7 +69,7 @@ func TestScanFirmwareParallelMatchesSequential(t *testing.T) {
 // TestScanFirmwareScalarMatchesBatched pins a whole-firmware scan against
 // the every-pair reference implementations: at Workers 1 and 4, each CVE's
 // reported scan must equal the scalar Model.Candidates plus
-// dynamic.ValidateParallel oracle for the library and query mode it names.
+// dynamic.Validate oracle for the library and query mode it names.
 func TestScanFirmwareScalarMatchesBatched(t *testing.T) {
 	model, db := fixtures(t)
 	fw, err := BuildFirmware(ThingOS, ScaleTiny)
@@ -106,6 +108,130 @@ func TestScanFirmwareScalarMatchesBatched(t *testing.T) {
 		}
 		if checked == 0 {
 			t.Fatalf("workers=%d: scan reported no results to check", workers)
+		}
+	}
+}
+
+// TestForEachPool pins the worker pool's contract: every index runs exactly
+// once, on a worker index below the clamped pool size, and a pool of one
+// runs inline — a panic in fn reaches the caller's goroutine, where no
+// pool goroutine could deliver it.
+func TestForEachPool(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct{ n, workers, pool int }{
+		{n: 50, workers: 4, pool: 4},
+		{n: 3, workers: 100, pool: 3},
+		{n: 50, workers: 0, pool: min(runtime.NumCPU(), 50)},
+		{n: 0, workers: 4, pool: 0},
+	} {
+		var mu sync.Mutex
+		seen := make([]int, tc.n)
+		forEach(ctx, tc.n, tc.workers, func(w, i int) {
+			mu.Lock()
+			defer mu.Unlock()
+			if w < 0 || w >= tc.pool {
+				t.Errorf("n=%d workers=%d: worker index %d outside [0, %d)", tc.n, tc.workers, w, tc.pool)
+			}
+			seen[i]++
+		})
+		for i, c := range seen {
+			if c != 1 {
+				t.Errorf("n=%d workers=%d: index %d ran %d times", tc.n, tc.workers, i, c)
+			}
+		}
+	}
+	func() {
+		defer func() {
+			if r := recover(); r != "inline" {
+				t.Errorf("one-worker pool: recovered %v, want the panic from fn", r)
+			}
+		}()
+		forEach(ctx, 3, 1, func(w, i int) { panic("inline") })
+	}()
+}
+
+// TestScanImageWorkersMatchSequential pins standalone ScanImage, whose
+// candidate validation runs on a pool of Analyzer.Workers: at 1, 2, 4 and
+// 100 workers every CVE's scan of its host image is identical — candidate
+// order, survivors, exclusions with their reasons, ranking and verdict.
+func TestScanImageWorkersMatchSequential(t *testing.T) {
+	model, db := fixtures(t)
+	fw, err := BuildFirmware(ThingOS, ScaleTiny)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prepared, err := PrepareImages(context.Background(), fw.Images, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scanAll := func(workers int) []*CVEScan {
+		an := NewAnalyzer(model, db)
+		an.Workers = workers
+		var scans []*CVEScan
+		for _, id := range db.IDs() {
+			for _, p := range prepared {
+				for _, mode := range []QueryMode{QueryVulnerable, QueryPatched} {
+					scan, err := an.ScanImage(context.Background(), p, id, mode)
+					if err != nil {
+						t.Fatalf("workers=%d %s/%s: %v", workers, p.Image.LibName, id, err)
+					}
+					scan.StaticTime, scan.DynamicTime = 0, 0
+					scans = append(scans, scan)
+				}
+			}
+		}
+		return scans
+	}
+	base := scanAll(1)
+	excluded := 0
+	for _, scan := range base {
+		excluded += len(scan.Excluded)
+	}
+	if excluded == 0 {
+		t.Fatal("fixture excludes no candidate; exclusion reasons go unchecked")
+	}
+	for _, workers := range []int{2, 4, 100} {
+		for i, scan := range scanAll(workers) {
+			if !reflect.DeepEqual(scan, base[i]) {
+				t.Errorf("workers=%d %s/%s/%v diverges from one worker:\n got %+v\nwant %+v",
+					workers, scan.Library, scan.CVE, scan.Mode, scan, base[i])
+			}
+		}
+	}
+}
+
+// TestDedupValidateCancelled: candidates a cancelled context stops are
+// neither survivors nor exclusions at any pool size, and no dedup row
+// memoizes them.
+func TestDedupValidateCancelled(t *testing.T) {
+	model, db, fw := goldenFixtures(t)
+	id := db.IDs()[0]
+	entry, _ := db.Get(id)
+	truth, _ := fw.CVETruthFor(id)
+	im, _ := fw.Image(truth.Library)
+	p, err := Prepare(im)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cands := make([]detector.Candidate, len(p.Dis.Funcs))
+	for i := range cands {
+		cands[i] = detector.Candidate{Index: i}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, workers := range []int{0, 1, 4} {
+		an := NewAnalyzer(model, db)
+		survivors, profiles, excluded, rows := an.dedupValidate(ctx, p, entry, cands, p.Dis.Funcs, entry.Environments(), workers)
+		if len(survivors) != 0 || len(profiles) != 0 {
+			t.Errorf("workers=%d: cancelled validation still profiled %d candidates", workers, len(survivors))
+		}
+		if len(excluded) != 0 {
+			t.Errorf("workers=%d: cancellation recorded as exclusions: %v", workers, excluded)
+		}
+		for i, row := range rows {
+			if row.done {
+				t.Fatalf("workers=%d: row %d memoized a cancelled outcome", workers, i)
+			}
 		}
 	}
 }

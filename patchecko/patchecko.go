@@ -212,7 +212,8 @@ type Analyzer struct {
 // every analyzer on it reads and fills. Candidate lists, validation
 // outcomes and reports are exactly those of scoring and validating every
 // (function, CVE) pair independently; the tests pin that against the
-// every-pair reference paths (Model.Candidates, dynamic.ValidateParallel).
+// every-pair reference paths (Model.Candidates, the sequential
+// dynamic.Validate).
 func NewAnalyzer(model *Model, db *DB) *Analyzer {
 	return &Analyzer{model: model, db: db, StepLimit: 1 << 20, Prefilter: true}
 }
