@@ -206,13 +206,6 @@ func run(args []string) (err error) {
 		}
 		d.Render(out)
 		fmt.Println()
-		rr, err := suite.VerdictsWithReplay(ctx, caseDevice)
-		if err != nil {
-			return err
-		}
-		fmt.Println("Ablation — Table VIII with exploit-replay extension enabled:")
-		rr.Render(out)
-		fmt.Println()
 		e, err := suite.AblateEnvironments(ctx, caseDevice)
 		if err != nil {
 			return err

@@ -29,7 +29,6 @@ func TestAllArtifacts(t *testing.T) {
 		"Table VIII — final patch detection on pebble-2xl",
 		"Baseline comparison",
 		"Ablation — similarity distance",
-		"Ablation — Table VIII with exploit-replay extension enabled",
 		"Ablation — execution environments",
 		"Ablation — static-only vs hybrid pruning",
 		"Ablation — static feature groups",

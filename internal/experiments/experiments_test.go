@@ -343,27 +343,6 @@ func TestProfileTranscript(t *testing.T) {
 	}
 }
 
-func TestExploitReplayAblation(t *testing.T) {
-	s := testSuite(t)
-	base, err := s.Verdicts(context.Background(), corpus.ThingOS.Name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	replay, err := s.VerdictsWithReplay(context.Background(), corpus.ThingOS.Name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if replay.Accuracy() < base.Accuracy() {
-		t.Errorf("replay reduced accuracy: %.2f -> %.2f", base.Accuracy(), replay.Accuracy())
-	}
-	// The minute patch must flip from the blind-spot default to correct.
-	for _, row := range replay.Rows {
-		if row.CVE == "CVE-2018-9470" && row.Found && row.Reported != row.GroundTruth {
-			t.Error("exploit replay failed to resolve the CVE-2018-9470 blind spot")
-		}
-	}
-}
-
 func TestBaselineComparison(t *testing.T) {
 	s := testSuite(t)
 	r, err := s.Baselines(corpus.ThingOS.Name)
@@ -550,10 +529,12 @@ func TestCensusAndCharts(t *testing.T) {
 var verdictSeeds = []int64{1, 5, 42, 1234}
 
 // TestVerdictSweep pins Table VIII beyond one seed: for every seed in
-// verdictSeeds and both devices, the paper-faithful and the exploit-replay
-// verdicts' accuracy and every miss with its reported verdict and
-// confidence. A mean hides a bad seed; the per-CVE lines do not. An
-// intended verdict change is regenerated with
+// verdictSeeds and both devices, two lines. The "paper" line is
+// Suite.Verdicts, which scans the ground-truth host image; the "firmware"
+// line is ScanFirmware's per-CVE result over the whole device, which is
+// what an operator reads. Each gives the accuracy and every miss with its
+// reported verdict and confidence. A mean hides a bad seed; the per-CVE
+// lines do not. An intended verdict change is regenerated with
 //
 //	PATCHECKO_UPDATE_GOLDEN=1 go test ./internal/experiments/ -run TestVerdictSweep
 func TestVerdictSweep(t *testing.T) {
@@ -568,16 +549,17 @@ func TestVerdictSweep(t *testing.T) {
 			}
 		}
 		for _, dev := range Devices() {
-			for _, mode := range []struct {
-				name string
-				run  func(context.Context, string) (VerdictResult, error)
-			}{{"paper", s.Verdicts}, {"replay", s.VerdictsWithReplay}} {
-				r, err := mode.run(ctx, dev.Name)
-				if err != nil {
-					t.Fatal(err)
-				}
-				writeVerdictLine(&buf, seed, mode.name, r)
+			r, err := s.Verdicts(ctx, dev.Name)
+			if err != nil {
+				t.Fatal(err)
 			}
+			writeVerdictLine(&buf, seed, "paper", r)
+			fw := s.Firmware[dev.Name]
+			rep, err := s.Analyzer.ScanFirmware(ctx, fw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			writeFirmwareLine(&buf, seed, fw, s.DB.IDs(), rep)
 		}
 	}
 
@@ -596,6 +578,14 @@ func TestVerdictSweep(t *testing.T) {
 	}
 }
 
+// verdictState names a patch state in a sweep line.
+func verdictState(patched bool) string {
+	if patched {
+		return "patched"
+	}
+	return "vuln"
+}
+
 // writeVerdictLine renders one (seed, device, mode) Table VIII as its
 // accuracy followed by one entry per miss: the CVE, what was reported
 // against the ground truth, the reported confidence, and whether the
@@ -604,12 +594,6 @@ func TestVerdictSweep(t *testing.T) {
 func writeVerdictLine(w *bytes.Buffer, seed int64, mode string, r VerdictResult) {
 	ok := 0
 	var misses []string
-	state := func(patched bool) string {
-		if patched {
-			return "patched"
-		}
-		return "vuln"
-	}
 	for _, row := range r.Rows {
 		switch {
 		case row.Correct():
@@ -622,10 +606,48 @@ func writeVerdictLine(w *bytes.Buffer, seed int64, mode string, r VerdictResult)
 				fn = "true-fn"
 			}
 			misses = append(misses, fmt.Sprintf("%s %s/%s@%.2f %s", row.CVE,
-				state(row.Reported), state(row.GroundTruth), row.Confidence, fn))
+				verdictState(row.Reported), verdictState(row.GroundTruth), row.Confidence, fn))
 		}
 	}
 	fmt.Fprintf(w, "seed %d %s %s: %d/%d (%.0f%%)", seed, r.Device, mode, ok, len(r.Rows), 100*r.Accuracy())
+	if len(misses) > 0 {
+		fmt.Fprintf(w, " misses: %s", strings.Join(misses, ", "))
+	}
+	w.WriteString("\n")
+}
+
+// writeFirmwareLine renders one (seed, device) ScanFirmware report as its
+// accuracy, how many CVEs it answered from the ground-truth host library
+// ("host-lib") and from the true host function ("true-fn"), and one entry
+// per miss: the CVE, what was reported against the ground truth, the
+// reported confidence and the library it picked, or "not-found" when the
+// report has no match for the CVE.
+func writeFirmwareLine(w *bytes.Buffer, seed int64, fw *patchecko.Firmware, ids []string, rep *patchecko.Report) {
+	ok, hostLib, trueFn := 0, 0, 0
+	var misses []string
+	for _, id := range ids {
+		truth, _ := fw.CVETruthFor(id)
+		scan := rep.Results[id]
+		if scan == nil || !scan.Matched {
+			misses = append(misses, id+" not-found")
+			continue
+		}
+		if scan.Library == truth.Library {
+			hostLib++
+			if scan.Match.Addr == truth.Addr {
+				trueFn++
+			}
+		}
+		if scan.Verdict.Patched == truth.Patched {
+			ok++
+			continue
+		}
+		misses = append(misses, fmt.Sprintf("%s %s/%s@%.2f %s", id,
+			verdictState(scan.Verdict.Patched), verdictState(truth.Patched), scan.Verdict.Confidence, scan.Library))
+	}
+	n := len(ids)
+	fmt.Fprintf(w, "seed %d %s firmware: %d/%d (%.0f%%) host-lib %d/%d true-fn %d/%d", seed, fw.Device,
+		ok, n, 100*float64(ok)/float64(n), hostLib, n, trueFn, n)
 	if len(misses) > 0 {
 		fmt.Fprintf(w, " misses: %s", strings.Join(misses, ", "))
 	}

@@ -308,19 +308,7 @@ func (r VerdictResult) Accuracy() float64 {
 // static stage misses with the vulnerable query (which happens for patched
 // targets), the patched-query scan supplies the match.
 func (s *Suite) Verdicts(ctx context.Context, device string) (VerdictResult, error) {
-	return s.verdictsWith(ctx, s.Analyzer, device)
-}
-
-// VerdictsWithReplay re-runs Table VIII with the exploit-replay extension
-// enabled — the future work the paper proposes for its single
-// misclassification.
-func (s *Suite) VerdictsWithReplay(ctx context.Context, device string) (VerdictResult, error) {
-	an := patchecko.NewAnalyzer(s.Model, s.DB)
-	an.ExploitReplay = true
-	return s.verdictsWith(ctx, an, device)
-}
-
-func (s *Suite) verdictsWith(ctx context.Context, an *patchecko.Analyzer, device string) (VerdictResult, error) {
+	an := s.Analyzer
 	res := VerdictResult{Device: device}
 	for _, id := range s.DB.IDs() {
 		p, truth, err := s.hostImage(device, id)

@@ -15,11 +15,10 @@
 // and equal diffengine.SigOf values, since SigOf reads only the function's
 // own instructions and blocks. That is why a validation row also holds the
 // body's ranking distances and differential verdict: everything else they
-// read depends on the CVE alone. Exploit replay keys on the target's
-// address and stays per occurrence, as does per-occurrence accounting
-// (candidate lists, exclusion records, validation and verdict counters),
-// which is what makes reports byte-identical to scoring, validating and
-// deciding every (function, CVE) pair independently.
+// read depends on the CVE alone. Per-occurrence accounting (candidate
+// lists, exclusion records, validation and verdict counters) stays per
+// occurrence, which is what makes reports byte-identical to scoring,
+// validating and deciding every (function, CVE) pair independently.
 //
 // One caveat, relevant only to tests: fault injection keyed on an image
 // name (faultinject.ExecTrap on a candidate image) deliberately breaks the

@@ -136,12 +136,6 @@ type Analyzer struct {
 	db    *DB
 	// StepLimit bounds each candidate execution.
 	StepLimit int64
-	// ExploitReplay enables the patch-diff-guided differential replay
-	// extension (the future work the paper sketches for its one
-	// misclassification). When the standard differential evidence is
-	// decisive it is kept; replay only overrides low-confidence verdicts.
-	// Off by default to preserve the paper's documented blind spot.
-	ExploitReplay bool
 	// Workers parallelizes the scan engine when > 1 (the paper's other
 	// future-work item): ScanFirmware schedules its (image, CVE, mode)
 	// grid across this many goroutines, and standalone ScanImage calls
@@ -217,9 +211,6 @@ type Analyzer struct {
 func NewAnalyzer(model *Model, db *DB) *Analyzer {
 	return &Analyzer{model: model, db: db, StepLimit: 1 << 20, Prefilter: true}
 }
-
-// DB returns the analyzer's vulnerability database.
-func (a *Analyzer) DB() *DB { return a.db }
 
 // PreparedImage caches the static stage's per-image work (disassembly and
 // feature extraction) so one image can be scanned for many CVEs. Everything
@@ -531,8 +522,7 @@ func (a *Analyzer) exec() dynamic.Exec {
 // from the analyzer's cache, so across a firmware scan they are derived
 // once per CVE, and the target's static vector is the one Prepare
 // extracted. The decision reads only the references and the target's body,
-// so the row makes it once; exploit replay keys on the target's address
-// and runs per occurrence after it.
+// so the row makes it once and every occurrence of that body reuses it.
 func (a *Analyzer) patchVerdict(ctx context.Context, entry *vulndb.Entry, arch string, p *PreparedImage,
 	ti int, row *dynEntry, eps []dynamic.EnvProfile, envs []*minic.Env) (Verdict, error) {
 	vref, err := a.cachedRef(entry, arch, QueryVulnerable)
@@ -557,8 +547,8 @@ func (a *Analyzer) patchVerdict(ctx context.Context, entry *vulndb.Entry, arch s
 		}
 		return Verdict{}, &refError{fmt.Errorf("patchecko: %s: patched ref: %w", entry.ID, err)}
 	}
-	target := p.Dis.Funcs[ti]
 	row.mu.Lock()
+	defer row.mu.Unlock()
 	if row.verdict == nil {
 		v := diffengine.Decide(diffengine.Inputs{
 			VulnStatic:      vref.vec,
@@ -569,26 +559,11 @@ func (a *Analyzer) patchVerdict(ctx context.Context, entry *vulndb.Entry, arch s
 			TargetProfiles:  dynamic.Vectors(eps),
 			VulnSig:         vref.sig,
 			PatchedSig:      pref.sig,
-			TargetSig:       diffengine.SigOf(target),
+			TargetSig:       diffengine.SigOf(p.Dis.Funcs[ti]),
 		})
 		row.verdict = &v
 	}
-	verdict := *row.verdict
-	row.mu.Unlock()
-	if a.ExploitReplay && verdict.Confidence < 0.75 {
-		vulnExec := diffengine.Exec{Dis: vref.Dis, Fn: vref.Fn}
-		patchedExec := diffengine.Exec{Dis: pref.Dis, Fn: pref.Fn}
-		targetExec := diffengine.Exec{Dis: p.Dis, Fn: target}
-		div := diffengine.FindDivergence(vulnExec, patchedExec, envs,
-			diffengine.DefaultReplayConfig(int64(target.Addr)))
-		if len(div) > 0 {
-			if patched, ok := diffengine.ReplayVerdict(targetExec, vulnExec, patchedExec, div, a.StepLimit); ok {
-				verdict.Patched = patched
-				verdict.Confidence = 0.95
-			}
-		}
-	}
-	return verdict, nil
+	return *row.verdict, nil
 }
 
 func refFor(entry *vulndb.Entry, arch string, mode QueryMode) (*vulndb.Ref, error) {

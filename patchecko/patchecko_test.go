@@ -294,52 +294,3 @@ func TestCompileSourceAndDisassemble(t *testing.T) {
 		t.Error("bad level accepted")
 	}
 }
-
-func TestExploitReplayAnalyzer(t *testing.T) {
-	// The replay extension resolves the one-integer patch: ThingOS carries
-	// the vulnerable CVE-2018-9470, which the default engine misreports as
-	// patched (the paper's Table VIII miss) but replay classifies correctly.
-	model, db := fixtures(t)
-	fw, err := BuildFirmware(ThingOS, ScaleTiny)
-	if err != nil {
-		t.Fatal(err)
-	}
-	truth, _ := fw.CVETruthFor("CVE-2018-9470")
-	if truth.Patched {
-		t.Fatal("fixture: 9470 must be unpatched on ThingOS")
-	}
-	im, _ := fw.Image(truth.Library)
-	p, err := Prepare(im)
-	if err != nil {
-		t.Fatal(err)
-	}
-	an := NewAnalyzer(model, db)
-	if an.DB() != db {
-		t.Error("DB accessor broken")
-	}
-	base, err := an.ScanImage(context.Background(), p, "CVE-2018-9470", QueryVulnerable)
-	if err != nil {
-		t.Fatal(err)
-	}
-	an.ExploitReplay = true
-	an.Workers = 4 // also exercise parallel validation in the pipeline
-	replay, err := an.ScanImage(context.Background(), p, "CVE-2018-9470", QueryVulnerable)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !base.Matched || !replay.Matched {
-		t.Skip("static stage missed the function at tiny scale")
-	}
-	if base.Match.Addr != truth.Addr || replay.Match.Addr != truth.Addr {
-		t.Skip("matched a lookalike; replay verdict not meaningful")
-	}
-	if !base.Verdict.Patched {
-		t.Error("default engine classified the minute patch — blind spot disappeared")
-	}
-	if replay.Verdict.Patched {
-		t.Error("exploit replay failed to flip the verdict to vulnerable")
-	}
-	if replay.Verdict.Confidence <= base.Verdict.Confidence {
-		t.Error("replay verdict should be high confidence")
-	}
-}
